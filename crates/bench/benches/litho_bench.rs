@@ -39,6 +39,10 @@ fn bench_gradient(c: &mut Criterion) {
     group.bench_function("eq14_into_128", |b| {
         b.iter(|| model.gradient_into(&mask, &target, 1.0, &mut grad).unwrap())
     });
+    // The process-window-aware ILT step: three dose corners, one fused call.
+    group.bench_function("eq14_pw_into_128", |b| {
+        b.iter(|| model.gradient_doses_into(&mask, &target, &[0.98, 1.0, 1.02], &mut grad).unwrap())
+    });
     group.finish();
 }
 

@@ -3,8 +3,9 @@
 //! The litho model's aerial-image and gradient evaluations need a handful of
 //! frame-sized complex and real buffers per SOCS kernel. Allocating them
 //! per call dominated small-frame runtimes and thrashes the allocator from
-//! the worker pool; a thread-local cache does not help because the pool
-//! spawns fresh scoped workers on every call. [`Arena`] is the alternative:
+//! the worker pool; a thread-local cache does not fit because one
+//! evaluation's buffers cross threads (a field written by one worker is
+//! consumed by another). [`Arena`] is the alternative:
 //! a mutex-guarded freelist owned by the plan (the [`LithoModel`]), shared
 //! by all workers, from which buffers are borrowed and returned. After the
 //! first call on a given frame size the freelist is warm and steady-state

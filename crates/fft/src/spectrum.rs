@@ -57,23 +57,11 @@ pub fn mul_into(out: &mut [Complex], a: &[Complex], b: &[Complex]) {
     }
 }
 
-/// Conjugated product into a separate output: `out[i] = a[i] * conj(b[i])`.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn mul_conj_into(out: &mut [Complex], a: &[Complex], b: &[Complex]) {
-    assert_eq!(out.len(), a.len(), "spectrum length mismatch");
-    assert_eq!(a.len(), b.len(), "spectrum length mismatch");
-    for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
-        *o = *x * y.conj();
-    }
-}
-
 /// Conjugated product accumulated into `out`: `out[i] += a[i] * conj(b[i])`.
 ///
-/// With [`mul_conj_into`] this builds the Eq. (14) gradient spectrum
-/// `W = P ⊙ conj(R) + Q ⊙ conj(I)` in a single pass per kernel component.
+/// From a zeroed accumulator this builds the Eq. (14) gradient spectrum
+/// `W = Σ_k P_k ⊙ conj(R_k) + Q_k ⊙ conj(I_k)`, one pass per kernel
+/// component.
 ///
 /// # Panics
 ///
@@ -519,15 +507,16 @@ mod tests {
         mul_assign(&mut reference, &b);
         assert_eq!(out, reference);
 
-        mul_conj_into(&mut out, &a, &b);
+        // Accumulating into zero gives the conjugated product (up to the
+        // fused multiply-add's rounding); accumulating it again doubles it.
         let mut reference = a.clone();
         mul_conj_assign(&mut reference, &b);
-        assert_eq!(out, reference);
-
-        // Accumulating the same product twice doubles it.
-        mul_conj_add_into(&mut out, &a, &b);
-        for (o, r) in out.iter().zip(&reference) {
-            assert!((o.re - 2.0 * r.re).abs() < 1e-4 && (o.im - 2.0 * r.im).abs() < 1e-4);
+        let mut out = vec![Complex::ZERO; 16];
+        for scale in [1.0, 2.0] {
+            mul_conj_add_into(&mut out, &a, &b);
+            for (o, r) in out.iter().zip(&reference) {
+                assert!((o.re - scale * r.re).abs() < 1e-4 && (o.im - scale * r.im).abs() < 1e-4);
+            }
         }
     }
 

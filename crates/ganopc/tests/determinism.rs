@@ -66,10 +66,12 @@ fn training_stats_are_identical_for_any_thread_count() {
     assert_eq!(serial, parallel, "pretrain_generator diverged across thread counts");
     assert_eq!(serial, uneven, "pretrain_generator diverged on an uneven worker split");
 
-    // The spectral-engine hot paths directly: aerial image and the Eq. (14)
-    // gradient on a 128-px frame must be bit-identical whether the Hopkins
-    // kernel loop runs on one worker or four — the per-kernel partial
-    // intensities and gradient terms are reduced serially in kernel order.
+    // The spectral-engine hot paths directly: aerial image, the Eq. (14)
+    // gradient and the dose-fused process-window gradient on a 128-px frame
+    // must be bit-identical whether the Hopkins kernel loop runs on one
+    // worker or four — intensities are reduced serially in kernel order, and
+    // the adjoint sums fixed kernel groups in kernel order, then in group
+    // order, whatever the worker count.
     let litho128 = {
         let mut cfg = OpticalConfig::default_32nm(2048.0 / 128.0);
         cfg.pupil_grid = 11;
@@ -91,16 +93,23 @@ fn training_stats_are_identical_for_any_thread_count() {
     let litho_eval = || {
         let aerial = litho128.aerial_image(&mask);
         let grad = litho128.gradient_at_dose(&mask, &target, 1.0).unwrap();
-        (aerial, grad.error, grad.grad)
+        let mut pw_grad = vec![0.0f32; 128 * 128];
+        let pw_error =
+            litho128.gradient_doses_into(&mask, &target, &[0.98, 1.0, 1.02], &mut pw_grad).unwrap();
+        (aerial, grad.error, grad.grad, pw_error, pw_grad)
     };
-    let (a1, e1, g1) = with_threads(1, litho_eval);
-    let (a3, e3, g3) = with_threads(3, litho_eval);
-    let (a4, e4, g4) = with_threads(4, litho_eval);
+    let (a1, e1, g1, pe1, pg1) = with_threads(1, litho_eval);
+    let (a3, e3, g3, pe3, pg3) = with_threads(3, litho_eval);
+    let (a4, e4, g4, pe4, pg4) = with_threads(4, litho_eval);
+    assert_eq!(pe1.to_bits(), pe4.to_bits(), "fused PW error diverged across thread counts");
+    assert_eq!(pg1, pg4, "fused PW gradient diverged across thread counts");
+    assert_eq!(pe1.to_bits(), pe3.to_bits(), "fused PW error diverged on an uneven worker split");
+    assert_eq!(pg1, pg3, "fused PW gradient diverged on an uneven worker split");
     assert_eq!(e1.to_bits(), e4.to_bits(), "litho error diverged across thread counts");
     assert_eq!(a1.as_slice(), a4.as_slice(), "aerial image diverged across thread counts");
     assert_eq!(g1.as_slice(), g4.as_slice(), "Eq. (14) gradient diverged across thread counts");
-    // Three workers force ±1-sized chunk splits over the 8 Hopkins kernels;
-    // the serial kernel-order reduction must hide the uneven partition.
+    // Three workers force uneven chunk splits over the 8 Hopkins kernels
+    // and the 4 adjoint groups; the fixed reduction order must hide them.
     assert_eq!(e1.to_bits(), e3.to_bits(), "litho error diverged on an uneven worker split");
     assert_eq!(a1.as_slice(), a3.as_slice(), "aerial image diverged on an uneven worker split");
     assert_eq!(g1.as_slice(), g3.as_slice(), "Eq. (14) gradient diverged on an uneven split");

@@ -41,6 +41,13 @@ thread_local! {
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
+/// Number of contiguous SOCS-kernel groups the gradient adjoint sums over
+/// (see `LithoModel::adjoint_into`). A fixed constant — never derived from
+/// the worker count — so the reassociated spectral sum is bit-identical at
+/// any `GANOPC_THREADS`; small, so the adjoint holds only this many
+/// half-spectra at once instead of one per kernel.
+const ADJOINT_GROUPS: usize = 4;
+
 /// Runs `f` with this thread's kernel-field slot list sized to `n` empty
 /// slots.
 fn with_field_slots<R>(n: usize, f: impl FnOnce(&mut Vec<KernelFields>) -> R) -> R {
@@ -391,14 +398,24 @@ impl LithoModel {
     // lint: hot-path
     fn prime_arena(&self) {
         let kernels = self.spectra.len();
-        let lanes = if pool::in_worker() { 1 } else { pool::max_threads().min(kernels.max(1)) };
-        // Complex peak: the gradient stage holds 3 spectra per active chunk
-        // (w_spec/tmp/scratch); the convolve stage holds the mask spectrum
-        // plus 2 per chunk — 3·lanes covers both for lanes ≥ 1.
-        self.arena.reserve_complex(3 * lanes, self.rfft.spectrum_len());
-        // Real peak: 2 component fields per kernel + intensity/z/g + one
-        // per-chunk product buffer.
-        self.arena.reserve_real(2 * kernels + 3 + lanes, self.height * self.width);
+        let threads = if pool::in_worker() { 1 } else { pool::max_threads() };
+        let conv_lanes = threads.min(kernels.max(1));
+        let adj_lanes = threads.min(ADJOINT_GROUPS);
+        // Complex peak: the convolve stage holds the mask spectrum plus 2
+        // per chunk (product/scratch); the adjoint holds the group spectra
+        // plus 2 per chunk (tmp/scratch).
+        let complex = (1 + 2 * conv_lanes).max(ADJOINT_GROUPS + 2 * adj_lanes);
+        self.arena.reserve_complex(complex, self.rfft.spectrum_len());
+        // Real peak: one field per surviving kernel component +
+        // intensity/z/g + one per-chunk product buffer in the adjoint.
+        let components: usize = self
+            .spectra
+            .iter()
+            .map(|(_, ks)| {
+                usize::from(ks.re_spectrum().is_some()) + usize::from(ks.im_spectrum().is_some())
+            })
+            .sum();
+        self.arena.reserve_real(components + 3 + adj_lanes, self.height * self.width);
     }
 
     /// Aerial image `I = Σ_k w_k |M ⊗ h_k|²` at nominal dose (Eq. (2)).
@@ -522,9 +539,10 @@ impl LithoModel {
         self.gradient_at_dose(mask, target, 1.0)
     }
 
-    /// [`LithoModel::gradient`] evaluated at an arbitrary dose (used by
-    /// process-window-aware ILT, which averages corners — the strategy of
-    /// MOSAIC [7 in the paper]).
+    /// [`LithoModel::gradient`] evaluated at an arbitrary dose, returning the
+    /// aerial and relaxed wafer images alongside the gradient — the
+    /// reporting and test entry point. The ILT loop and pre-training use the
+    /// allocation-free [`LithoModel::gradient_doses_into`] instead.
     ///
     /// # Errors
     ///
@@ -538,7 +556,7 @@ impl LithoModel {
     ) -> Result<GradientResult, LithoError> {
         let n = self.height * self.width;
         let mut grad = vec![0.0f32; n];
-        let (error, captured) = self.gradient_core(mask, target, dose, &mut grad, true)?;
+        let (error, captured) = self.gradient_core(mask, target, &[dose], &mut grad, true)?;
         // PANIC: gradient_core always captures when want_fields is true.
         let (intensity, z) = captured.expect("fields requested");
         Ok(GradientResult {
@@ -549,24 +567,50 @@ impl LithoModel {
         })
     }
 
-    /// Allocation-free variant of [`LithoModel::gradient_at_dose`]: writes
-    /// `∂E/∂M_b` into `grad` (overwritten, not accumulated) and returns the
-    /// lithography error `E`. With a warm arena this performs zero heap
-    /// allocation — the entry point for the ILT iteration loop and the
-    /// per-sample pre-training gradients, which discard the aerial and
-    /// wafer images anyway.
+    /// Single-dose form of [`LithoModel::gradient_doses_into`]: writes
+    /// `∂E/∂M_b` at `dose` into `grad` and returns `E`.
     ///
     /// # Errors
     ///
-    /// Returns [`LithoError::ShapeMismatch`] when `mask`/`target` disagree
-    /// with the frame and [`LithoError::Fft`] when `grad` has the wrong
-    /// length.
+    /// Same as [`LithoModel::gradient_doses_into`].
     // lint: hot-path
     pub fn gradient_into(
         &self,
         mask: &Field,
         target: &Field,
         dose: f32,
+        grad: &mut [f32],
+    ) -> Result<f64, LithoError> {
+        self.gradient_doses_into(mask, target, &[dose], grad)
+    }
+
+    /// Dose-fused gradient: writes `Σ_d ∂E_d/∂M_b` into `grad` (overwritten,
+    /// not accumulated) and returns `Σ_d E_d`, where `E_d` is the
+    /// lithography error with the aerial image scaled by dose `d`.
+    ///
+    /// The convolved fields do not depend on dose and the adjoint is linear
+    /// in the chain factor, so this runs the mask transform, the field
+    /// transforms and the adjoint once, and only the sigmoid sweep once per
+    /// dose — process-window-aware ILT costs about one gradient, not three.
+    /// With a warm arena it performs zero heap allocation; it is the entry
+    /// point for the ILT iteration loop and the per-sample pre-training
+    /// gradients, which discard the aerial and wafer images anyway.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LithoError::ShapeMismatch`] when `mask`/`target` disagree
+    /// with the frame and [`LithoError::Fft`] when `grad` has the wrong
+    /// length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `doses` is empty or holds a non-positive dose.
+    // lint: hot-path
+    pub fn gradient_doses_into(
+        &self,
+        mask: &Field,
+        target: &Field,
+        doses: &[f32],
         grad: &mut [f32],
     ) -> Result<f64, LithoError> {
         let n = self.height * self.width;
@@ -576,23 +620,22 @@ impl LithoModel {
                 actual: grad.len(),
             }));
         }
-        grad.fill(0.0);
-        let (error, _) = self.gradient_core(mask, target, dose, grad, false)?;
+        let (error, _) = self.gradient_core(mask, target, doses, grad, false)?;
         Ok(error)
     }
 
-    /// Shared gradient pipeline. Accumulates `∂E/∂M_b` into `grad` (which
-    /// must arrive zeroed) and returns the error; when `want_fields` is set,
-    /// also returns `(intensity, z)` as fresh vectors for the caller to wrap
-    /// into [`Field`]s, otherwise those intermediates live and die in the
-    /// arena.
+    /// The single gradient pipeline behind every public gradient entry point.
+    /// Writes `Σ_d ∂E_d/∂M_b` into `grad` (overwritten) and returns
+    /// `Σ_d E_d`; when `want_fields` is set (single dose only), also returns
+    /// `(intensity, z)` as fresh vectors for the caller to wrap into
+    /// [`Field`]s, otherwise those intermediates live and die in the arena.
     // lint: hot-path
     #[allow(clippy::type_complexity)]
     fn gradient_core(
         &self,
         mask: &Field,
         target: &Field,
-        dose: f32,
+        doses: &[f32],
         grad: &mut [f32],
         want_fields: bool,
     ) -> Result<(f64, Option<(Vec<f32>, Vec<f32>)>), LithoError> {
@@ -600,9 +643,10 @@ impl LithoModel {
         obs::counter_add(obs::Counter::LithoGradientCalls, 1);
         self.check_shape(mask)?;
         self.check_shape(target)?;
-        assert!(dose > 0.0, "dose must be positive");
+        assert!(!doses.is_empty(), "at least one dose is required");
+        assert!(doses.iter().all(|&d| d > 0.0), "dose must be positive");
+        debug_assert!(!want_fields || doses.len() == 1, "fields are captured at one dose");
         let n = self.height * self.width;
-        let slen = self.rfft.spectrum_len();
 
         self.prime_arena();
         let mask_half = self.mask_half(mask);
@@ -610,94 +654,35 @@ impl LithoModel {
             self.convolved_fields_into(&mask_half, fields);
             self.arena.put_complex(mask_half);
 
-            // Aerial image and relaxed wafer `Z = σ(α(dose·I − I_th))`, plus the
-            // error and the chain factor g = 2α·dose (Z − Z_t) ⊙ Z ⊙ (1 − Z).
             // ALLOC: want_fields is the cold debug/reporting branch — it hands the
             // buffers to the caller, so they cannot come from the arena.
             let mut intensity = if want_fields { vec![0.0f32; n] } else { self.arena.take_real(n) };
             self.accumulate_intensity(fields, &mut intensity);
             // ALLOC: same want_fields escape hatch as `intensity` above.
             let mut z = if want_fields { vec![0.0f32; n] } else { self.arena.take_real(n) };
+            // One sweep per dose over the shared intensity: relaxed wafer
+            // `Z = σ(α(dose·I − I_th))`, the error, and the chain factor
+            // g += 2α·dose (Z − Z_t) ⊙ Z ⊙ (1 − Z). Each dose's error is
+            // summed on its own, so Σ_d E_d equals the sum of single-dose calls.
             let mut g = self.arena.take_real(n);
             let alpha = self.sigmoid_alpha;
             let th = self.threshold;
-            let chain = 2.0 * alpha * dose;
             let mut error = 0.0f64;
-            for (((zi, gi), &ii), &ti) in
-                z.iter_mut().zip(g.iter_mut()).zip(intensity.iter()).zip(target.as_slice())
-            {
-                let zv = 1.0 / (1.0 + (-alpha * (dose * ii - th)).exp());
-                *zi = zv;
-                let d = zv - ti;
-                error += (d as f64) * (d as f64);
-                *gi = chain * d * zv * (1.0 - zv);
-            }
-
-            // grad = Σ_k w_k · 2 Re[ IFFT( FFT(g ⊙ A_k) ⊙ conj(H_k) ) ]. With
-            // A_k = p + i·q and H_k = R + i·I (half-spectra of the kernel's real
-            // components), the real part collapses to a single Hermitian inverse:
-            // grad_k = 2 w_k · c2r( P ⊙ conj(R) + Q ⊙ conj(I) ), P = r2c(g⊙p),
-            // Q = r2c(g⊙q) — one c2r per kernel instead of a full complex
-            // round-trip. Kernel indices fan out over the pool through the
-            // allocation-free run_chunks path; each job consumes its slot's
-            // convolved fields and leaves the kernel's gradient contribution in
-            // the slot, reduced below in kernel order so the gradient bits do
-            // not depend on how many workers ran.
-            let g_ref = &g;
-            let slots = pool::DisjointMut::new(&mut fields[..]);
-            pool::run_chunks(self.spectra.len(), |kernels| {
-                for ki in kernels {
-                    // SAFETY: run_chunks kernel ranges partition the slot list,
-                    // so slot ki is owned by exactly this chunk.
-                    let slot = unsafe { slots.index_mut(ki) };
-                    let (p, q) = (slot.0.take(), slot.1.take());
-                    let ks = &self.spectra[ki].1;
-                    let mut w_spec = self.arena.take_complex(slen);
-                    let mut tmp = self.arena.take_complex(slen);
-                    let mut scratch = self.arena.take_complex(slen);
-                    let mut u = self.arena.take_real(n);
-                    let mut wrote = false;
-                    for (comp, half) in [(&p, ks.re_spectrum()), (&q, ks.im_spectrum())] {
-                        let (Some(field), Some(half)) = (comp, half) else { continue };
-                        for ((ui, &fi), &gi) in u.iter_mut().zip(field.iter()).zip(g_ref.iter()) {
-                            *ui = gi * fi;
-                        }
-                        // PANIC: buffers were sized from this plan above.
-                        self.rfft.forward(&u, &mut tmp, &mut scratch).expect("planned size");
-                        if wrote {
-                            spectrum::mul_conj_add_into(&mut w_spec, &tmp, half);
-                        } else {
-                            spectrum::mul_conj_into(&mut w_spec, &tmp, half);
-                            wrote = true;
-                        }
-                    }
-                    for comp in [p, q].into_iter().flatten() {
-                        self.arena.put_real(comp);
-                    }
-                    self.arena.put_complex(tmp);
-                    slot.0 = if wrote {
-                        let mut gk = u; // reuse as the real output buffer
-                        self.rfft
-                            .inverse(&mut w_spec, &mut gk, &mut scratch)
-                            // PANIC: buffers were sized from this plan above.
-                            .expect("planned size");
-                        Some(gk)
-                    } else {
-                        self.arena.put_real(u);
-                        None
-                    };
-                    self.arena.put_complex(w_spec);
-                    self.arena.put_complex(scratch);
+            for &dose in doses {
+                let chain = 2.0 * alpha * dose;
+                let mut dose_error = 0.0f64;
+                for (((zi, gi), &ii), &ti) in
+                    z.iter_mut().zip(g.iter_mut()).zip(intensity.iter()).zip(target.as_slice())
+                {
+                    let zv = 1.0 / (1.0 + (-alpha * (dose * ii - th)).exp());
+                    *zi = zv;
+                    let d = zv - ti;
+                    dose_error += (d as f64) * (d as f64);
+                    *gi += chain * d * zv * (1.0 - zv);
                 }
-            });
-            for ((w, _), slot) in self.spectra.iter().zip(fields.iter_mut()) {
-                let Some(gk) = slot.0.take() else { continue };
-                let s = 2.0 * w;
-                for (go, &c) in grad.iter_mut().zip(gk.iter()) {
-                    *go += s * c;
-                }
-                self.arena.put_real(gk);
+                error += dose_error;
             }
+            self.adjoint_into(fields, &g, grad);
             self.arena.put_real(g);
 
             let captured = if want_fields {
@@ -709,6 +694,76 @@ impl LithoModel {
             };
             Ok((error, captured))
         })
+    }
+
+    /// Adjoint of the mask → intensity map: writes `Jᵀg` into `grad`
+    /// (overwritten), consuming the convolved fields (returned to the arena).
+    ///
+    /// `Jᵀg = Σ_k 2 w_k Re[IFFT(FFT(g ⊙ A_k) ⊙ H_k*)]`. With `A_k = p + i·q`
+    /// and `H_k = R + i·I` (half-spectra of the kernel's real components),
+    /// the real part is the Hermitian inverse `c2r(P ⊙ R* + Q ⊙ I*)` with
+    /// `P = r2c(2w_k·g ⊙ p)`, `Q = r2c(2w_k·g ⊙ q)`. The inverse transform is
+    /// linear, so the kernel terms are summed in the half-spectrum and one
+    /// c2r finishes the gradient. The sum runs over [`ADJOINT_GROUPS`] fixed
+    /// contiguous kernel groups that fan out over the pool: each group
+    /// accumulates its kernels in kernel order (real component before
+    /// imaginary) into its own spectrum, and the group spectra are added in
+    /// group order on the calling thread — the same association at any
+    /// worker count, while holding only `ADJOINT_GROUPS` spectra.
+    // lint: hot-path
+    fn adjoint_into(&self, fields: &mut [KernelFields], g: &[f32], grad: &mut [f32]) {
+        let n = self.height * self.width;
+        let slen = self.rfft.spectrum_len();
+        let kernels = self.spectra.len();
+        let mut group_spectra: [Vec<Complex>; ADJOINT_GROUPS] =
+            std::array::from_fn(|_| self.arena.take_complex(slen));
+        let groups = pool::DisjointMut::new(&mut group_spectra[..]);
+        let slots = pool::DisjointMut::new(fields);
+        pool::run_chunks(ADJOINT_GROUPS, |chunk| {
+            let mut u = self.arena.take_real(n);
+            let mut tmp = self.arena.take_complex(slen);
+            let mut scratch = self.arena.take_complex(slen);
+            for gi in chunk {
+                // SAFETY: run_chunks ranges partition the group list, so
+                // group gi is owned by exactly this chunk.
+                let acc = unsafe { groups.index_mut(gi) };
+                for ki in gi * kernels / ADJOINT_GROUPS..(gi + 1) * kernels / ADJOINT_GROUPS {
+                    // SAFETY: the groups' kernel ranges are disjoint, so slot
+                    // ki belongs to group gi alone.
+                    let slot = unsafe { slots.index_mut(ki) };
+                    let (w, ks) = &self.spectra[ki];
+                    let s = 2.0 * w;
+                    for comp in
+                        [(slot.0.take(), ks.re_spectrum()), (slot.1.take(), ks.im_spectrum())]
+                    {
+                        let (Some(field), Some(half)) = comp else { continue };
+                        for ((ui, &fi), &gv) in u.iter_mut().zip(field.iter()).zip(g) {
+                            *ui = s * gv * fi;
+                        }
+                        self.arena.put_real(field);
+                        // PANIC: buffers were sized from this plan above.
+                        self.rfft.forward(&u, &mut tmp, &mut scratch).expect("planned size");
+                        spectrum::mul_conj_add_into(acc, &tmp, half);
+                    }
+                }
+            }
+            self.arena.put_real(u);
+            self.arena.put_complex(tmp);
+            self.arena.put_complex(scratch);
+        });
+        let [mut total, rest @ ..] = group_spectra;
+        for part in rest {
+            for (t, &p) in total.iter_mut().zip(part.iter()) {
+                *t += p;
+            }
+            self.arena.put_complex(part);
+        }
+        let mut scratch = self.arena.take_complex(slen);
+        // PANIC: buffers were sized from this plan; grad was length-checked
+        // by the public entry points.
+        self.rfft.inverse(&mut total, grad, &mut scratch).expect("planned size");
+        self.arena.put_complex(total);
+        self.arena.put_complex(scratch);
     }
 }
 
@@ -803,53 +858,217 @@ mod tests {
         assert!(matches!(model.try_aerial_image(&bad), Err(LithoError::ShapeMismatch { .. })));
     }
 
-    #[test]
-    fn gradient_matches_finite_difference() {
-        let model = small_model();
-        let mask = {
-            // A soft blob, away from binarization plateaus.
-            let mut m = Field::zeros(64, 64);
-            for y in 24..40 {
-                for x in 24..40 {
-                    m.set(y, x, 0.6);
+    /// The ±2 % process-window dose corners.
+    const PW_DOSES: [f32; 3] = [0.98, 1.0, 1.02];
+
+    /// Pinned tolerance, as `max|a − b| / max|b|`, of the dose-fused
+    /// gradient against the sum of single-dose gradients (the same pipeline
+    /// with `g` summed after instead of before the adjoint).
+    const FUSED_VS_PER_DOSE_TOL: f32 = 1e-5;
+    /// Pinned tolerance, as `max|a − b| / max|b|`, of the fused gradient
+    /// against the pre-fusion implementation (one pipeline per dose, one
+    /// c2r per kernel, kernel frames summed in kernel order).
+    const FUSED_VS_REFERENCE_TOL: f32 = 1e-5;
+    /// Pinned relative tolerance of the adjoint dot-product identity.
+    const ADJOINT_DOT_TOL: f64 = 1e-5;
+
+    /// A soft blob, away from binarization plateaus.
+    fn soft_blob() -> Field {
+        let mut m = Field::zeros(64, 64);
+        for y in 24..40 {
+            for x in 24..40 {
+                m.set(y, x, 0.6);
+            }
+        }
+        m
+    }
+
+    /// Deterministic pseudo-random values in `[-0.5, 0.5)`.
+    fn pseudo_random(len: usize, seed: u64) -> Vec<f32> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                ((state >> 33) as f32 / (1u64 << 31) as f32) - 0.5
+            })
+            .collect()
+    }
+
+    fn max_rel_diff(a: &[f32], b: &[f32]) -> f32 {
+        let scale = b.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+        let diff = a.iter().zip(b).fold(0.0f32, |m, (x, y)| m.max((x - y).abs()));
+        diff / scale
+    }
+
+    /// The pre-fusion gradient, kept as the oracle for the pinned
+    /// tolerance: one full pipeline per dose, each kernel's adjoint spectrum
+    /// inverted on its own, and the `2 w_k`-scaled kernel frames summed in
+    /// kernel order.
+    fn reference_gradient(
+        model: &LithoModel,
+        mask: &Field,
+        target: &Field,
+        doses: &[f32],
+    ) -> (f64, Vec<f32>) {
+        let n = 64 * 64;
+        let slen = model.rfft.spectrum_len();
+        let mut scratch = Vec::new();
+        let mut mask_half = vec![Complex::ZERO; slen];
+        model.rfft.forward(mask.as_slice(), &mut mask_half, &mut scratch).unwrap();
+        let intensity = model.aerial_image(mask);
+        let (alpha, th) = (model.sigmoid_alpha, model.threshold);
+        let mut grad = vec![0.0f32; n];
+        let mut error = 0.0f64;
+        for &dose in doses {
+            let mut g = vec![0.0f32; n];
+            let mut dose_error = 0.0f64;
+            for ((gi, &ii), &ti) in g.iter_mut().zip(intensity.as_slice()).zip(target.as_slice()) {
+                let zv = 1.0 / (1.0 + (-alpha * (dose * ii - th)).exp());
+                let d = zv - ti;
+                dose_error += (d as f64) * (d as f64);
+                *gi = 2.0 * alpha * dose * d * zv * (1.0 - zv);
+            }
+            error += dose_error;
+            for (w, ks) in &model.spectra {
+                let mut w_spec = vec![Complex::ZERO; slen];
+                for half in [ks.re_spectrum(), ks.im_spectrum()].into_iter().flatten() {
+                    let field = model.component_field(&mask_half, half);
+                    let u: Vec<f32> = g.iter().zip(&field).map(|(&gv, &fv)| gv * fv).collect();
+                    let mut tmp = vec![Complex::ZERO; slen];
+                    model.rfft.forward(&u, &mut tmp, &mut scratch).unwrap();
+                    spectrum::mul_conj_add_into(&mut w_spec, &tmp, half);
+                }
+                let mut gk = vec![0.0f32; n];
+                model.rfft.inverse(&mut w_spec, &mut gk, &mut scratch).unwrap();
+                for (go, &c) in grad.iter_mut().zip(&gk) {
+                    *go += 2.0 * w * c;
                 }
             }
-            m
-        };
-        let target = line_mask(64, 64, 28, 36, 24, 40);
-        let result = model.gradient(&mask, &target).unwrap();
-
-        // Directional finite difference: aggregate over the whole field so
-        // f32 forward-model rounding averages out. Direction = deterministic
-        // pseudo-random unit vector.
-        let mut dir = vec![0.0f32; 64 * 64];
-        let mut state = 0xdead_beef_u64;
-        for d in dir.iter_mut() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            *d = ((state >> 33) as f32 / (1u64 << 31) as f32) - 0.5;
         }
+        (error, grad)
+    }
+
+    /// Directional finite-difference check of the (dose-summed) gradient:
+    /// aggregate over the whole field so f32 forward-model rounding averages
+    /// out, along a deterministic pseudo-random unit direction.
+    fn check_directional_fd(doses: &[f32]) {
+        let model = small_model();
+        let mask = soft_blob();
+        let target = line_mask(64, 64, 28, 36, 24, 40);
+        let mut grad = vec![0.0f32; 64 * 64];
+        model.gradient_doses_into(&mask, &target, doses, &mut grad).unwrap();
+
+        let mut dir = pseudo_random(64 * 64, 0xdead_beef);
         let norm = dir.iter().map(|d| d * d).sum::<f32>().sqrt();
         for d in dir.iter_mut() {
             *d /= norm;
         }
         let eps = 1e-2f32;
-        let shifted = |sign: f32| {
-            Field::from_vec(
+        let mut scratch = vec![0.0f32; 64 * 64];
+        let mut error_at = |sign: f32| {
+            let shifted = Field::from_vec(
                 64,
                 64,
                 mask.as_slice().iter().zip(&dir).map(|(&m, &d)| m + sign * eps * d).collect(),
-            )
+            );
+            model.gradient_doses_into(&shifted, &target, doses, &mut scratch).unwrap()
         };
-        let ep = model.gradient(&shifted(1.0), &target).unwrap().error;
-        let em = model.gradient(&shifted(-1.0), &target).unwrap().error;
-        let fd = (ep - em) / (2.0 * eps as f64);
-        let analytic: f64 =
-            result.grad.as_slice().iter().zip(&dir).map(|(&g, &d)| g as f64 * d as f64).sum();
+        let fd = (error_at(1.0) - error_at(-1.0)) / (2.0 * eps as f64);
+        let analytic: f64 = grad.iter().zip(&dir).map(|(&g, &d)| g as f64 * d as f64).sum();
         let denom = fd.abs().max(analytic.abs()).max(1e-6);
         assert!(
             (fd - analytic).abs() / denom < 0.02,
-            "directional derivative: fd {fd} vs analytic {analytic}"
+            "doses {doses:?}: directional derivative fd {fd} vs analytic {analytic}"
         );
+    }
+
+    #[test]
+    fn gradient_matches_finite_difference() {
+        check_directional_fd(&[1.0]);
+    }
+
+    #[test]
+    fn process_window_gradient_matches_finite_difference() {
+        check_directional_fd(&PW_DOSES);
+    }
+
+    #[test]
+    fn fused_doses_match_sum_of_single_dose_gradients() {
+        let model = small_model();
+        let mask = soft_blob();
+        let target = line_mask(64, 64, 28, 36, 24, 40);
+        let mut fused = vec![0.0f32; 64 * 64];
+        let fused_error = model.gradient_doses_into(&mask, &target, &PW_DOSES, &mut fused).unwrap();
+        let mut summed = vec![0.0f32; 64 * 64];
+        let mut one = vec![0.0f32; 64 * 64];
+        let mut summed_error = 0.0f64;
+        for dose in PW_DOSES {
+            summed_error += model.gradient_into(&mask, &target, dose, &mut one).unwrap();
+            for (s, &o) in summed.iter_mut().zip(&one) {
+                *s += o;
+            }
+        }
+        // Each dose's error is reduced on its own, so the sums agree exactly.
+        assert_eq!(fused_error.to_bits(), summed_error.to_bits());
+        let rel = max_rel_diff(&fused, &summed);
+        assert!(rel < FUSED_VS_PER_DOSE_TOL, "fused vs per-dose gradient: rel diff {rel}");
+    }
+
+    #[test]
+    fn fused_gradient_matches_pre_fusion_reference() {
+        let model = small_model();
+        let mask = soft_blob();
+        let target = line_mask(64, 64, 28, 36, 24, 40);
+        let mut grad = vec![0.0f32; 64 * 64];
+        for doses in [&[1.0][..], &PW_DOSES[..]] {
+            let error = model.gradient_doses_into(&mask, &target, doses, &mut grad).unwrap();
+            let (ref_error, ref_grad) = reference_gradient(&model, &mask, &target, doses);
+            assert_eq!(error.to_bits(), ref_error.to_bits(), "doses {doses:?}: error moved");
+            let rel = max_rel_diff(&grad, &ref_grad);
+            assert!(rel < FUSED_VS_REFERENCE_TOL, "doses {doses:?}: rel diff {rel} to reference");
+        }
+    }
+
+    #[test]
+    fn adjoint_satisfies_dot_product_identity() {
+        // ⟨Jv, w⟩ = ⟨v, Jᵀw⟩ for the mask → intensity map J at `mask`. The
+        // intensity is quadratic in the mask, so the central difference
+        // (I(M+εv) − I(M−εv)) / 2ε is Jv exactly, up to rounding — for any ε,
+        // so a large one keeps the rounding small against the difference.
+        let model = small_model();
+        let mask = soft_blob();
+        let n = 64 * 64;
+        let v = pseudo_random(n, 0x5eed_0001);
+        let w = pseudo_random(n, 0x5eed_0002);
+        let eps = 1.0f32;
+        let aerial_at = |sign: f32| {
+            let shifted = Field::from_vec(
+                64,
+                64,
+                mask.as_slice().iter().zip(&v).map(|(&m, &d)| m + sign * eps * d).collect(),
+            );
+            model.aerial_image(&shifted)
+        };
+        let (plus, minus) = (aerial_at(1.0), aerial_at(-1.0));
+        let jv_w: f64 = plus
+            .as_slice()
+            .iter()
+            .zip(minus.as_slice())
+            .zip(&w)
+            .map(|((&p, &m), &wi)| (p as f64 - m as f64) / (2.0 * eps as f64) * wi as f64)
+            .sum();
+
+        model.prime_arena();
+        let mask_half = model.mask_half(&mask);
+        let mut jt_w = vec![0.0f32; n];
+        with_field_slots(model.num_kernels(), |fields| {
+            model.convolved_fields_into(&mask_half, fields);
+            model.adjoint_into(fields, &w, &mut jt_w);
+        });
+        model.arena.put_complex(mask_half);
+        let v_jt_w: f64 = v.iter().zip(&jt_w).map(|(&a, &b)| a as f64 * b as f64).sum();
+        let rel = (jv_w - v_jt_w).abs() / jv_w.abs().max(v_jt_w.abs());
+        assert!(rel < ADJOINT_DOT_TOL, "<Jv,w> {jv_w} vs <v,J^T w> {v_jt_w}: rel {rel}");
     }
 
     #[test]
@@ -972,6 +1191,7 @@ mod tests {
             let _ = model.aerial_image(&mask);
             let _ = model.gradient_at_dose(&mask, &target, 1.02).unwrap();
             model.gradient_into(&mask, &target, 0.98, &mut grad).unwrap();
+            model.gradient_doses_into(&mask, &target, &PW_DOSES, &mut grad).unwrap();
         }
         assert_eq!(
             model.scratch_allocations(),

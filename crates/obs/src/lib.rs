@@ -158,7 +158,9 @@ registry_enum! {
         IltIterations => "ilt_iterations",
         /// Aerial-image simulations (`LithoModel::aerial_image_into`).
         LithoAerialCalls => "litho_aerial_calls",
-        /// Litho gradient evaluations (`LithoModel::gradient_into`).
+        /// Litho gradient evaluations, one per call of the shared gradient
+        /// pipeline: a dose-fused evaluation counts once whatever the number
+        /// of doses (`LithoModel::gradient_doses_into`).
         LithoGradientCalls => "litho_gradient_calls",
         /// Parallel dispatches through the worker crew (`pool::dispatch`).
         PoolDispatches => "pool_dispatches",

@@ -1,18 +1,25 @@
 #!/usr/bin/env bash
 # Runs the workspace criterion benches and distills their fixed-width text
-# output into a machine-readable JSON summary (default: BENCH_9.json in the
-# workspace root). All durations are normalized to nanoseconds. Benches whose
+# output into a machine-readable JSON summary, written to the path given as
+# the first argument (by convention `BENCH_<N>.json` in the workspace root,
+# N = the change that produced it). There is no default, so a run can never
+# silently overwrite an older snapshot. All durations are normalized to
+# nanoseconds. Benches whose
 # name ends in `_x<N>` run N operations per sample (the obs_overhead group);
 # those entries additionally carry `per_op_median_ns` = median / N, which is
 # the number scripts/check.sh holds against the span budget.
 #
 # Usage:
-#   scripts/bench_summary.sh [out.json]
-#   BENCH_INPUT=captured.txt scripts/bench_summary.sh [out.json]   # reparse
+#   scripts/bench_summary.sh out.json
+#   BENCH_INPUT=captured.txt scripts/bench_summary.sh out.json   # reparse
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_9.json}"
+if [[ $# -ne 1 ]]; then
+    echo "usage: $0 out.json  (e.g. BENCH_12.json; existing: $(ls BENCH_*.json 2>/dev/null | tr '\n' ' '))" >&2
+    exit 2
+fi
+out="$1"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
