@@ -32,9 +32,9 @@ pub struct Discriminator {
     /// Whether the network takes pairs (2 channels) or bare masks
     /// (1 channel — the conventional-GAN ablation of Section 3.2).
     pair_input: bool,
-    /// Persistent 2-channel input buffer for the `_into` pair paths.
+    /// Persistent 2-channel input buffer of the pair paths.
     scratch_pair: Tensor,
-    /// Persistent 2-channel input-gradient buffer for the `_into` paths.
+    /// Persistent 2-channel input gradient of the pair paths.
     scratch_grad_pair: Tensor,
 }
 
@@ -115,14 +115,14 @@ impl Discriminator {
     /// Panics for mask-only discriminators (use
     /// [`Discriminator::forward_mask`]) or on shape mismatch.
     pub fn forward_pair(&mut self, targets: &Tensor, masks: &Tensor, train: bool) -> Tensor {
-        assert!(self.pair_input, "mask-only discriminator cannot take pairs");
-        let x = Tensor::concat_channels(&[targets, masks]);
-        self.net.forward(&x, train)
+        let mut out = Tensor::zeros(&[1]);
+        self.forward_pair_into(targets, masks, &mut out, train);
+        out
     }
 
-    /// Allocation-free counterpart of [`Discriminator::forward_pair`]:
-    /// stacks the pair into a persistent scratch buffer and writes the
-    /// probabilities `[N, 1]` into `out`.
+    /// Buffer-reusing form of [`Discriminator::forward_pair`]: stacks the
+    /// pair into a persistent scratch buffer and writes the probabilities
+    /// `[N, 1]` into `out`.
     ///
     /// # Panics
     ///
@@ -156,17 +156,17 @@ impl Discriminator {
     ///
     /// Panics for mask-only discriminators.
     pub fn backward_pair(&mut self, grad_prob: &Tensor) -> (Tensor, Tensor) {
-        assert!(self.pair_input, "mask-only discriminator cannot split pair gradients");
-        let grad_input = self.net.backward(grad_prob);
-        let parts = grad_input.split_channels(&[1, 1]);
-        let mut it = parts.into_iter();
-        // PANIC: split_channels(&[1, 1]) always yields exactly two parts.
-        (it.next().expect("target grad"), it.next().expect("mask grad"))
+        let mut grad_masks = Tensor::zeros(&[1]);
+        self.backward_pair_into(grad_prob, &mut grad_masks);
+        let mut grad_targets = Tensor::zeros(&[1]);
+        self.scratch_grad_pair.extract_channels_into(0, 1, &mut grad_targets);
+        (grad_targets, grad_masks)
     }
 
-    /// Allocation-free backward through the pair discriminator that keeps
+    /// Buffer-reusing backward through the pair discriminator that keeps
     /// only the mask-channel gradient (the generator update consumes
-    /// ∂L/∂M; ∂L/∂Z_t is never used), written into `grad_mask`.
+    /// ∂L/∂M; ∂L/∂Z_t is never used), written into `grad_mask`. The full
+    /// pair gradient stays in a persistent scratch buffer.
     ///
     /// # Panics
     ///
@@ -301,34 +301,24 @@ mod tests {
     }
 
     #[test]
-    fn into_paths_match_allocating_paths() {
+    fn discard_path_accumulates_the_same_param_grads() {
+        // `backward_pair_discard` skips every input gradient but must leave
+        // exactly the parameter gradients of the full pair backward.
         let t = init::uniform(&[2, 1, 16, 16], 0.0, 1.0, 1);
         let m = init::uniform(&[2, 1, 16, 16], 0.0, 1.0, 2);
         let gp = Tensor::from_vec(&[2, 1], vec![0.4, -0.7]);
-
-        let mut d_old = Discriminator::new(16, 4, 3);
-        let p_old = d_old.forward_pair(&t, &m, true);
-        let (_, gm_old) = d_old.backward_pair(&gp);
-
-        let mut d_new = Discriminator::new(16, 4, 3);
-        let mut p_new = Tensor::zeros(&[1]);
-        d_new.forward_pair_into(&t, &m, &mut p_new, true);
-        let mut gm_new = Tensor::zeros(&[1]);
-        d_new.backward_pair_into(&gp, &mut gm_new);
-
-        assert_eq!(p_new, p_old);
-        assert_eq!(gm_new, gm_old);
-
-        // The discard path accumulates the same parameter gradients.
-        let mut d_disc = Discriminator::new(16, 4, 3);
-        let mut p = Tensor::zeros(&[1]);
-        d_disc.forward_pair_into(&t, &m, &mut p, true);
-        d_disc.backward_pair_discard(&gp);
-        let mut grads_old = Vec::new();
-        d_old.net_mut().visit_params(&mut |p| grads_old.push(p.grad.clone()));
+        let mut full = Discriminator::new(16, 4, 3);
+        let mut disc = Discriminator::new(16, 4, 3);
+        let p_full = full.forward_pair(&t, &m, true);
+        let p_disc = disc.forward_pair(&t, &m, true);
+        assert_eq!(p_full, p_disc);
+        let _ = full.backward_pair(&gp);
+        disc.backward_pair_discard(&gp);
+        let mut grads_full = Vec::new();
+        full.net_mut().visit_params(&mut |p| grads_full.push(p.grad.clone()));
         let mut grads_disc = Vec::new();
-        d_disc.net_mut().visit_params(&mut |p| grads_disc.push(p.grad.clone()));
-        assert_eq!(grads_disc, grads_old);
+        disc.net_mut().visit_params(&mut |p| grads_disc.push(p.grad.clone()));
+        assert_eq!(grads_disc, grads_full);
     }
 
     #[test]

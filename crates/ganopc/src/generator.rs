@@ -101,14 +101,14 @@ impl Generator {
     ///
     /// Panics when the spatial size disagrees with the generator.
     pub fn forward(&mut self, targets: &Tensor, train: bool) -> Tensor {
-        let (_, c, h, w) = targets.dims4();
-        assert_eq!((c, h, w), (1, self.size, self.size), "generator input shape mismatch");
-        self.net.forward(targets, train)
+        let mut out = Tensor::zeros(&[1]);
+        self.forward_into(targets, &mut out, train);
+        out
     }
 
-    /// Allocation-free counterpart of [`Generator::forward`]: writes the
-    /// generated masks into `out`, reusing its storage and the network's
-    /// persistent activation tape.
+    /// Buffer-reusing form of [`Generator::forward`]: writes the generated
+    /// masks into `out`, reusing its storage and the network's persistent
+    /// activation tape.
     ///
     /// # Panics
     ///

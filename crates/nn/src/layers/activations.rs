@@ -7,7 +7,7 @@
 //! is what makes the in-place fast path possible — the input no longer
 //! exists once the buffer has been transformed.
 
-use super::{Layer, Param};
+use super::Layer;
 use crate::Tensor;
 
 /// Copies the freshly computed activation output into the persistent cache,
@@ -35,18 +35,6 @@ macro_rules! activation_layer {
         }
 
         impl Layer for $name {
-            fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-                let mut out = Tensor::zeros(input.shape());
-                self.forward_into(input, &mut out, train);
-                out
-            }
-
-            fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-                let mut grad_in = Tensor::zeros(grad_out.shape());
-                self.backward_into(grad_out, Some(&mut grad_in));
-                grad_in
-            }
-
             // lint: hot-path
             fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, _train: bool) {
                 let fwd: fn(f32) -> f32 = $fwd;
@@ -97,8 +85,6 @@ macro_rules! activation_layer {
                 }
                 true
             }
-
-            fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 
             fn describe(&self) -> String {
                 stringify!($name).to_string()
@@ -158,18 +144,6 @@ impl Default for LeakyRelu {
 }
 
 impl Layer for LeakyRelu {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::zeros(input.shape());
-        self.forward_into(input, &mut out, train);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut grad_in = Tensor::zeros(grad_out.shape());
-        self.backward_into(grad_out, Some(&mut grad_in));
-        grad_in
-    }
-
     // lint: hot-path
     fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, _train: bool) {
         let s = self.slope;

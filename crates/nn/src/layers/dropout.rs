@@ -1,6 +1,6 @@
 //! Dropout regularization.
 
-use super::{Layer, Param};
+use super::Layer;
 use crate::Tensor;
 
 /// Inverted dropout: during training each activation is zeroed with
@@ -67,18 +67,6 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::zeros(&[1]);
-        self.forward_into(input, &mut out, train);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut grad_in = Tensor::zeros(&[1]);
-        self.backward_into(grad_out, Some(&mut grad_in));
-        grad_in
-    }
-
     // lint: hot-path
     fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
         if !train || self.p == 0.0 {
@@ -131,8 +119,6 @@ impl Layer for Dropout {
         }
         true
     }
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 
     fn describe(&self) -> String {
         format!("Dropout({})", self.p)

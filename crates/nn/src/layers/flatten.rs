@@ -1,6 +1,6 @@
 //! Flattening between convolutional and dense stages.
 
-use super::{Layer, Param};
+use super::Layer;
 use crate::Tensor;
 
 /// Flattens `[N, C, H, W]` to `[N, C·H·W]`; backward restores the shape.
@@ -40,17 +40,6 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        let (n, rest) = self.cache(input.shape());
-        input.clone().reshape(&[n, rest])
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        // PANIC: Layer contract — backward runs only after forward cached state.
-        let shape = self.cache_shape.as_ref().expect("backward before forward");
-        grad_out.clone().reshape(shape)
-    }
-
     // lint: hot-path
     fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, _train: bool) {
         let (n, rest) = self.cache(input.shape());
@@ -82,8 +71,6 @@ impl Layer for Flatten {
         g.set_shape(shape);
         true
     }
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 
     fn describe(&self) -> String {
         "Flatten".to_string()

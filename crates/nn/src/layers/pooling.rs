@@ -1,6 +1,6 @@
 //! Spatial pooling layers.
 
-use super::{conv_out_size, Layer, Param};
+use super::{conv_out_size, Layer};
 use crate::Tensor;
 
 /// Average pooling over `[N, C, H, W]` tensors with square windows.
@@ -35,18 +35,6 @@ impl AvgPool2d {
 }
 
 impl Layer for AvgPool2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::zeros(&[1]);
-        self.forward_into(input, &mut out, train);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut grad_in = Tensor::zeros(&[1]);
-        self.backward_into(grad_out, Some(&mut grad_in));
-        grad_in
-    }
-
     // lint: hot-path
     fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, _train: bool) {
         let (n, c, h, w) = input.dims4();
@@ -105,8 +93,6 @@ impl Layer for AvgPool2d {
             }
         }
     }
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 
     fn describe(&self) -> String {
         format!("AvgPool2d({0}x{0})", self.k)

@@ -93,37 +93,23 @@ fn clamp_p(p: f32) -> f32 {
 ///
 /// `bce_scalar_label(p, 1.0)` is the `−log D(·)` generator objective;
 /// `bce_scalar_label(p, 0.0)` is the `−log(1 − D(·))` discriminator term
-/// for generated samples.
+/// for generated samples. Allocating form of [`bce_scalar_label_into`] at
+/// `scale = 1`.
 ///
 /// # Panics
 ///
 /// Panics unless `label` is exactly 0 or 1.
 pub fn bce_scalar_label(p: &Tensor, label: f32) -> (f64, Tensor) {
-    assert!(label == 0.0 || label == 1.0, "label must be 0 or 1");
-    let n = p.len() as f64;
-    let mut value = 0.0f64;
-    let grad: Vec<f32> = p
-        .as_slice()
-        .iter()
-        .map(|&raw| {
-            let pc = clamp_p(raw);
-            if label == 1.0 {
-                value += -(pc as f64).ln();
-                -1.0 / (pc * n as f32)
-            } else {
-                value += -((1.0 - pc) as f64).ln();
-                1.0 / ((1.0 - pc) * n as f32)
-            }
-        })
-        .collect();
-    guard::check_finite_scalar("bce loss", value / n);
-    (value / n, Tensor::from_vec(p.shape(), grad))
+    let mut grad = Tensor::zeros(&[1]);
+    let value = bce_scalar_label_into(p, label, 1.0, &mut grad);
+    (value, grad)
 }
 
-/// Fused-scale variant of [`bce_scalar_label`]: writes `scale · ∂BCE/∂p`
-/// into `grad` (resized to match `p`) and returns the mean BCE value. The
-/// per-element gradient is computed exactly as in the allocating version and
-/// then multiplied by `scale`, so `scale = 1` reproduces it bit for bit.
+/// Fused-scale binary cross-entropy: writes `scale · ∂BCE/∂p` into `grad`
+/// (resized to match `p`) and returns the mean BCE value of
+/// [`bce_scalar_label`]. Each element's gradient is computed unscaled and
+/// then multiplied by `scale`, so the product rounds exactly like scaling
+/// the `scale = 1` gradient afterwards.
 ///
 /// # Panics
 ///

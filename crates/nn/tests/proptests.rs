@@ -1,11 +1,46 @@
 //! Property-based tests for the neural-network substrate.
 
 use ganopc_nn::layers::{
-    AvgPool2d, BatchNorm2d, Conv2d, ConvTranspose2d, Flatten, Layer, LeakyRelu, Linear, Relu,
-    Sequential, Sigmoid,
+    AvgPool2d, BatchNorm2d, Conv2d, ConvTranspose2d, Dropout, Flatten, Layer, LeakyRelu, Linear,
+    Relu, Sequential, Sigmoid, Tanh,
 };
 use ganopc_nn::{checkpoint, loss, Tensor};
 use proptest::prelude::*;
+
+/// Something layers can be appended to: a [`Sequential`] or a plain list
+/// of boxed layers driven one at a time.
+trait LayerSink {
+    fn add<L: Layer + 'static>(&mut self, layer: L);
+}
+
+impl LayerSink for Sequential {
+    fn add<L: Layer + 'static>(&mut self, layer: L) {
+        self.push(layer);
+    }
+}
+
+impl LayerSink for Vec<Box<dyn Layer>> {
+    fn add<L: Layer + 'static>(&mut self, layer: L) {
+        self.push(Box::new(layer));
+    }
+}
+
+/// A fixed-seed stack holding every layer type.
+fn every_layer_stack<S: LayerSink + Default>() -> S {
+    let mut s = S::default();
+    s.add(Conv2d::new(1, 4, 3, 1, 1, 21));
+    s.add(BatchNorm2d::new(4));
+    s.add(LeakyRelu::new(0.2));
+    s.add(ConvTranspose2d::new(4, 3, 4, 2, 1, 22));
+    s.add(Relu::new());
+    s.add(AvgPool2d::new(4));
+    s.add(Tanh::new());
+    s.add(Dropout::new(0.3, 23));
+    s.add(Flatten::new());
+    s.add(Linear::new(3 * 4 * 4, 3, 24));
+    s.add(Sigmoid::new());
+    s
+}
 
 fn tensor4(n: usize, c: usize, h: usize, w: usize) -> impl Strategy<Value = Tensor> {
     prop::collection::vec(-2.0f32..2.0, n * c * h * w)
@@ -148,61 +183,50 @@ proptest! {
         prop_assert_eq!(g.shape(), x.shape());
     }
 
-    /// The persistent-buffer execution paths (`forward_into`,
-    /// `backward_into`, `backward_discard`) are bit-identical to the
-    /// allocating reference path on a stack covering every fused kernel
-    /// family: conv, batchnorm, activations (in-place), pooling, flatten
-    /// (zero-copy reshape) and linear.
+    /// The `Sequential` tape (two ping-pong slots, element-wise layers
+    /// applied in place, flatten as a zero-copy reshape) is bit-identical
+    /// to chaining each layer's out-of-place `Layer::forward` /
+    /// `Layer::backward` by hand, on a stack with every layer type. The
+    /// discard path (`backward_into(.., None)`) skips the input gradient
+    /// but leaves the exact parameter gradients of the `Some` path.
     #[test]
-    fn into_paths_match_allocating_paths(x in tensor4(2, 1, 8, 8), g_scale in 0.5f32..1.5) {
-        let build = || {
-            let mut net = Sequential::new();
-            net.push(Conv2d::new(1, 4, 3, 1, 1, 21));
-            net.push(BatchNorm2d::new(4));
-            net.push(LeakyRelu::new(0.2));
-            net.push(AvgPool2d::new(2));
-            net.push(Flatten::new());
-            net.push(Linear::new(4 * 4 * 4, 3, 22));
-            net.push(Sigmoid::new());
-            net
-        };
-        let mut old = build();
-        let mut new = build();
-        let y_old = old.forward(&x, true);
-        let mut y_new = Tensor::zeros(&[1]);
-        new.forward_into(&x, &mut y_new, true);
-        prop_assert_eq!(y_old.shape(), y_new.shape());
-        prop_assert_eq!(y_old.as_slice(), y_new.as_slice());
+    fn tape_matches_per_layer_chaining(x in tensor4(2, 1, 8, 8), g_scale in 0.5f32..1.5) {
+        let mut chain: Vec<Box<dyn Layer>> = every_layer_stack();
+        let mut y_chain = x.clone();
+        for layer in &mut chain {
+            y_chain = layer.forward(&y_chain, true);
+        }
+        let mut tape: Sequential = every_layer_stack();
+        let mut y_tape = Tensor::zeros(&[1]);
+        tape.forward_into(&x, &mut y_tape, true);
+        prop_assert_eq!(y_chain.shape(), y_tape.shape());
+        prop_assert_eq!(y_chain.as_slice(), y_tape.as_slice());
 
-        let grad = Tensor::filled(y_old.shape(), g_scale);
-        old.zero_grads();
-        new.zero_grads();
-        let gi_old = old.backward(&grad);
-        let mut gi_new = Tensor::zeros(&[1]);
-        new.backward_into(&grad, Some(&mut gi_new));
-        prop_assert_eq!(gi_old.shape(), gi_new.shape());
-        prop_assert_eq!(gi_old.as_slice(), gi_new.as_slice());
+        let grad = Tensor::filled(y_chain.shape(), g_scale);
+        let mut gi_chain = grad.clone();
+        for layer in chain.iter_mut().rev() {
+            gi_chain = layer.backward(&gi_chain);
+        }
+        let mut gi_tape = Tensor::zeros(&[1]);
+        tape.backward_into(&grad, Some(&mut gi_tape));
+        prop_assert_eq!(gi_chain.shape(), gi_tape.shape());
+        prop_assert_eq!(gi_chain.as_slice(), gi_tape.as_slice());
 
-        let mut pg_old = Vec::new();
-        old.visit_params(&mut |p| pg_old.push(p.grad.clone()));
-        let mut i = 0;
-        new.visit_params(&mut |p| {
-            assert_eq!(p.grad.as_slice(), pg_old[i].as_slice(), "param grad {i} diverged");
-            i += 1;
-        });
+        let mut pg_chain = Vec::new();
+        for layer in &mut chain {
+            layer.visit_params(&mut |p| pg_chain.push(p.grad.clone()));
+        }
+        let mut pg_tape = Vec::new();
+        tape.visit_params(&mut |p| pg_tape.push(p.grad.clone()));
+        prop_assert_eq!(&pg_tape, &pg_chain);
 
-        // The discard path skips the input gradient but must still produce
-        // the exact same parameter gradients.
-        let mut discard = build();
+        let mut discard: Sequential = every_layer_stack();
         let mut y_d = Tensor::zeros(&[1]);
         discard.forward_into(&x, &mut y_d, true);
-        discard.zero_grads();
-        discard.backward_discard(&grad);
-        i = 0;
-        discard.visit_params(&mut |p| {
-            assert_eq!(p.grad.as_slice(), pg_old[i].as_slice(), "discard param grad {i} diverged");
-            i += 1;
-        });
+        discard.backward_into(&grad, None);
+        let mut pg_discard = Vec::new();
+        discard.visit_params(&mut |p| pg_discard.push(p.grad.clone()));
+        prop_assert_eq!(&pg_discard, &pg_chain);
     }
 
     /// Linear layer is affine: f(a+b) - f(b) == f(a) - f(0).

@@ -40,6 +40,14 @@ if ! cargo tree -f '{p} {f}' --prefix none --features fault-inject | grep -q "fa
 fi
 echo "fault-inject off by default, on under --features fault-inject"
 
+echo "==> perfbench tests (the benchmark builds against the workspace API)"
+# perfbench is its own workspace, so nothing above compiles it; a public-API
+# change that breaks the benchmark must fail here, not in the benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "==> perfbench --self-test (the BENCHMARK.json command, every workload)"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --self-test
+
 echo "==> cargo bench --no-run"
 cargo bench --workspace --no-run
 
