@@ -1,46 +1,15 @@
-//! Row–column 2-D FFT with cache-blocked transposes.
+//! Row–column 2-D FFT on batched tiles.
 
-use std::cell::RefCell;
-
+use crate::fft1d::{ensure_len, max_tile, with_scratch};
 use crate::{Complex, Direction, Fft1d, FftError};
-
-/// Tile edge for the blocked transpose. 32 complex values per row of a tile
-/// is 256 bytes — four cache lines — so a 32×32 tile streams through L1
-/// while both the read and the write side stay within a handful of pages.
-const TRANSPOSE_BLOCK: usize = 32;
-
-/// Transposes a row-major `rows × cols` matrix into `dst` (`cols × rows`),
-/// walking tile-by-tile so both sides of the copy stay cache-resident.
-pub(crate) fn transpose_into(src: &[Complex], dst: &mut [Complex], rows: usize, cols: usize) {
-    debug_assert_eq!(src.len(), rows * cols);
-    debug_assert_eq!(dst.len(), rows * cols);
-    for y0 in (0..rows).step_by(TRANSPOSE_BLOCK) {
-        let y1 = (y0 + TRANSPOSE_BLOCK).min(rows);
-        for x0 in (0..cols).step_by(TRANSPOSE_BLOCK) {
-            let x1 = (x0 + TRANSPOSE_BLOCK).min(cols);
-            for y in y0..y1 {
-                for x in x0..x1 {
-                    dst[x * rows + y] = src[y * cols + x];
-                }
-            }
-        }
-    }
-}
-
-thread_local! {
-    /// Growable per-thread scratch backing the allocation-free convenience
-    /// entry points ([`Fft2d::transform`], [`Fft2d::forward_real`]).
-    static SCRATCH: RefCell<Vec<Complex>> = const { RefCell::new(Vec::new()) };
-}
 
 /// A planned 2-D FFT over a `height × width` row-major buffer.
 ///
-/// The transform is separable: a contiguous row pass, then a cache-blocked
-/// transpose into scratch, a second contiguous row pass over the former
-/// columns, and a transpose back. The two transposes replace the strided
-/// per-column gather of the seed implementation, so the column pass also
-/// runs at unit stride and the plan performs no allocation when scratch is
-/// supplied via [`Fft2d::transform_with`].
+/// The transform is separable: a row pass, then a column pass, each run
+/// through the batched [`Fft1d`] kernel a tile of about 32 rows (columns)
+/// at a time. A column tile reads and writes contiguous runs of every row,
+/// so the frame is never transposed, and the plan performs no allocation
+/// when scratch is supplied via [`Fft2d::transform_with`].
 ///
 /// ```
 /// use ganopc_fft::{Complex, Direction, Fft2d};
@@ -101,23 +70,20 @@ impl Fft2d {
     }
 
     /// Transforms a row-major `height × width` buffer in place, borrowing a
-    /// per-thread scratch buffer for the transposes.
+    /// per-thread scratch buffer for the tiles.
     ///
     /// # Errors
     ///
     /// Returns [`FftError::SizeMismatch`] when `data.len() != height * width`.
     pub fn transform(&self, data: &mut [Complex], dir: Direction) -> Result<(), FftError> {
-        SCRATCH.with(|s| {
-            let mut scratch = s.borrow_mut();
-            self.transform_with(data, dir, &mut scratch)
-        })
+        with_scratch(|scratch| self.transform_with(data, dir, scratch))
     }
 
     /// Transforms a row-major buffer in place using caller-owned scratch.
     ///
-    /// `scratch` is grown to `height * width` once and then reused; steady
-    /// state performs zero heap allocation. Its contents on return are the
-    /// transposed intermediate and carry no meaning to callers.
+    /// `scratch` is grown once to one tile (at most `height * width` slots)
+    /// and then reused; steady state performs zero heap allocation. Its
+    /// contents on return are the last tile and carry no meaning to callers.
     ///
     /// # Errors
     ///
@@ -132,15 +98,9 @@ impl Fft2d {
             return Err(FftError::SizeMismatch { expected: self.len(), actual: data.len() });
         }
         let (h, w) = (self.height, self.width);
-        scratch.resize(h * w, Complex::ZERO);
-        for row in data.chunks_exact_mut(w) {
-            self.row_plan.transform_unchecked(row, dir);
-        }
-        transpose_into(data, scratch, h, w);
-        for col in scratch.chunks_exact_mut(h) {
-            self.col_plan.transform_unchecked(col, dir);
-        }
-        transpose_into(scratch, data, w, h);
+        ensure_len(scratch, (w * max_tile(h)).max(h * max_tile(w)));
+        self.row_plan.rows(data, h, dir, scratch);
+        self.col_plan.columns(data, w, dir, scratch);
         Ok(())
     }
 
@@ -183,24 +143,6 @@ mod tests {
         assert!(Fft2d::new(3, 8).is_err());
         assert!(Fft2d::new(8, 0).is_err());
         assert!(Fft2d::new(8, 8).is_ok());
-    }
-
-    #[test]
-    fn transpose_roundtrip_rectangular() {
-        for (r, c) in [(1usize, 64usize), (64, 1), (8, 8), (33, 70), (128, 32)] {
-            let src: Vec<Complex> =
-                (0..r * c).map(|i| Complex::new(i as f32, -(i as f32) * 0.5)).collect();
-            let mut t = vec![Complex::ZERO; r * c];
-            let mut back = vec![Complex::ZERO; r * c];
-            transpose_into(&src, &mut t, r, c);
-            for y in 0..r {
-                for x in 0..c {
-                    assert_eq!(t[x * r + y], src[y * c + x]);
-                }
-            }
-            transpose_into(&t, &mut back, c, r);
-            assert_eq!(back, src);
-        }
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //!   usual arithmetic;
 //! * [`Fft1d`] — a planned, iterative mixed radix-4/radix-2 Cooley–Tukey
 //!   transform for power-of-two lengths, with direction-specific twiddle
-//!   tables and a precomputed digit-reversal swap program;
-//! * [`Fft2d`] — a row–column 2-D transform built on [`Fft1d`], running the
-//!   column pass through cache-blocked transposes;
+//!   tables; its one kernel transforms a batch of sequences held as split
+//!   real/imaginary planes, one butterfly per plane row across all lanes;
+//! * [`Fft2d`] — a row–column 2-D transform built on [`Fft1d`], running both
+//!   passes through that kernel a tile of about 32 rows or columns at a
+//!   time, with no transposes or in-place permutations;
 //! * [`RealFft2d`] — the real-input 2-D transform over the packed Hermitian
 //!   `h × (w/2+1)` half-spectrum that carries the litho hot path;
 //! * [`Arena`] — a shared freelist of frame-sized scratch buffers so

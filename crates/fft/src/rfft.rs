@@ -14,7 +14,7 @@
 //! and `kx = w/2` (DC and Nyquist) are self-conjugate along `ky`:
 //! `X[ky, b] = conj(X[(h-ky)%h, b])`.
 
-use crate::fft2d::transpose_into;
+use crate::fft1d::{ensure_len, floats, floats_mut, gather, max_tile, planes, scatter, tiles};
 use crate::{Complex, Direction, Fft1d, FftError};
 
 /// A planned real-input 2-D FFT producing/consuming the packed
@@ -107,6 +107,13 @@ impl RealFft2d {
         self.height * self.half_width
     }
 
+    /// Scratch slots one tile needs: the row pass holds `w/2 + 1` plane rows
+    /// per lane (the untangled bins), the column pass `height`. Never more
+    /// than [`RealFft2d::spectrum_len`].
+    fn scratch_len(&self) -> usize {
+        (self.half_width * max_tile(self.height)).max(self.height * max_tile(self.half_width))
+    }
+
     fn check(&self, real_len: usize, spec_len: usize) -> Result<(), FftError> {
         if real_len != self.real_len() {
             return Err(FftError::SizeMismatch { expected: self.real_len(), actual: real_len });
@@ -120,8 +127,8 @@ impl RealFft2d {
     /// Forward transform: real `height × width` image → packed half-spectrum
     /// (unnormalized, matching [`Direction::Forward`] of the complex path).
     ///
-    /// `scratch` is grown to `spectrum_len()` once and then reused; steady
-    /// state performs zero heap allocation.
+    /// `scratch` is grown once to one tile (never beyond `spectrum_len()`)
+    /// and then reused; steady state performs zero heap allocation.
     ///
     /// # Errors
     ///
@@ -134,27 +141,26 @@ impl RealFft2d {
         scratch: &mut Vec<Complex>,
     ) -> Result<(), FftError> {
         self.check(real.len(), out.len())?;
-        let (h, hw) = (self.height, self.half_width);
-        let m = self.width / 2;
-        scratch.resize(h * hw, Complex::ZERO);
+        let (w, hw) = (self.width, self.half_width);
+        let m = w / 2;
+        ensure_len(scratch, self.scratch_len());
 
-        // Row pass: pack two real samples per complex slot, half-length FFT,
-        // then untangle into the m+1 stored bins.
-        for (src, row) in real.chunks_exact(self.width).zip(out.chunks_exact_mut(hw)) {
-            for (z, pair) in row[..m].iter_mut().zip(src.chunks_exact(2)) {
-                *z = Complex::new(pair[0], pair[1]);
-            }
-            self.row_plan.transform_unchecked(&mut row[..m], Direction::Forward);
-            self.untangle_row(row);
+        // Row pass, a tile of rows at a time: pack two real samples per
+        // complex slot straight into their digit-reversed plane rows, run the
+        // half-length FFT across the tile, untangle into the m+1 stored bins
+        // and write each lane back as one row of `out`.
+        let slots = self.row_plan.slots();
+        for (r0, b) in tiles(self.height) {
+            let (re, im) = planes(scratch, hw, b);
+            gather(&real[r0 * w..(r0 + b) * w], w, slots, re, im, b);
+            self.row_plan.run(&mut re[..m * b], &mut im[..m * b], b, Direction::Forward);
+            self.untangle(re, im, b);
+            scatter(re, im, b, hw, floats_mut(&mut out[r0 * hw..(r0 + b) * hw]), 2 * hw);
         }
 
         // Column pass: every stored column gets a full-height complex FFT,
-        // run contiguously through a pair of blocked transposes.
-        transpose_into(out, scratch, h, hw);
-        for col in scratch.chunks_exact_mut(h) {
-            self.col_plan.transform_unchecked(col, Direction::Forward);
-        }
-        transpose_into(scratch, out, hw, h);
+        // a tile of adjacent columns at a time.
+        self.col_plan.columns(out, hw, Direction::Forward, scratch);
         Ok(())
     }
 
@@ -177,29 +183,31 @@ impl RealFft2d {
         scratch: &mut Vec<Complex>,
     ) -> Result<(), FftError> {
         self.check(out.len(), half.len())?;
-        let (h, hw) = (self.height, self.half_width);
-        let m = self.width / 2;
-        scratch.resize(h * hw, Complex::ZERO);
+        let (w, hw) = (self.width, self.half_width);
+        let m = w / 2;
+        ensure_len(scratch, self.scratch_len());
 
         // Column pass first (reverse of forward): inverse FFT down every
         // stored column, carrying the 1/h normalization.
-        transpose_into(half, scratch, h, hw);
-        for col in scratch.chunks_exact_mut(h) {
-            self.col_plan.transform_unchecked(col, Direction::Inverse);
-        }
-        transpose_into(scratch, half, hw, h);
+        self.col_plan.columns(half, hw, Direction::Inverse, scratch);
 
-        // Row pass: tangle the m+1 bins back into a half-length complex
-        // sequence, inverse FFT (1/m), unpack interleaved real samples. The
-        // two 1/2 factors hidden in the tangle make 1/(h·m) the exact overall
-        // 1/(h·w) normalization.
-        for (row, dst) in half.chunks_exact_mut(hw).zip(out.chunks_exact_mut(self.width)) {
-            self.tangle_row(row);
-            self.row_plan.transform_unchecked(&mut row[..m], Direction::Inverse);
-            for (z, pair) in row[..m].iter().zip(dst.chunks_exact_mut(2)) {
-                pair[0] = z.re;
-                pair[1] = z.im;
+        // Row pass, a tile of rows at a time: gather bins 0..m into their
+        // digit-reversed plane rows (the Nyquist bin into row m), tangle them
+        // into the half-length complex sequence in place, inverse FFT (1/m)
+        // and unpack interleaved real samples. The two 1/2 factors hidden in
+        // the tangle make 1/(h·m) the exact overall 1/(h·w) normalization.
+        let slots = self.row_plan.slots();
+        for (r0, b) in tiles(self.height) {
+            let (re, im) = planes(scratch, hw, b);
+            let rows = &half[r0 * hw..(r0 + b) * hw];
+            gather(floats(rows), 2 * hw, slots, re, im, b);
+            for (l, src) in rows.chunks_exact(hw).enumerate() {
+                re[m * b + l] = src[m].re;
+                im[m * b + l] = src[m].im;
             }
+            self.tangle(re, im, b);
+            self.row_plan.run(&mut re[..m * b], &mut im[..m * b], b, Direction::Inverse);
+            scatter(re, im, b, m, &mut out[r0 * w..(r0 + b) * w], w);
         }
         Ok(())
     }
@@ -256,63 +264,131 @@ impl RealFft2d {
         Ok(())
     }
 
-    /// Untangles one packed row in place: on entry `row[0..m]` holds the
-    /// half-length FFT `Z` of the packed samples; on exit `row[0..=m]` holds
-    /// the real-input spectrum bins `X[0..=m]`.
+    /// Untangles a tile in place: on entry plane rows `0..m` hold the
+    /// half-length FFTs `Z` of the packed samples (one per lane); on exit
+    /// rows `0..=m` hold the real-input spectrum bins `X[0..=m]`.
     // lint: hot-path
-    fn untangle_row(&self, row: &mut [Complex]) {
+    fn untangle(&self, re: &mut [f32], im: &mut [f32], lanes: usize) {
         let m = self.width / 2;
-        let z0 = row[0];
         let mut k = 1;
         while 2 * k < m {
-            let zk = row[k];
-            let zmk = row[m - k];
-            let e = (zk + zmk.conj()).scale(0.5);
-            let d = zk - zmk.conj();
-            // o = -i/2 · d
-            let o = Complex::new(0.5 * d.im, -0.5 * d.re);
-            row[k] = e + self.tw[k] * o;
-            row[m - k] = e.conj() + self.tw[m - k] * o.conj();
+            let (twk, twmk) = (self.tw[k], self.tw[m - k]);
+            let (rk, rmk) = row_pair(re, lanes, k, m - k);
+            let (ik, imk) = row_pair(im, lanes, k, m - k);
+            untangle_pair(rk, ik, rmk, imk, twk, twmk);
             k += 1;
         }
         if m >= 2 {
-            row[m / 2] = row[m / 2].conj();
+            for v in &mut im[m / 2 * lanes..][..lanes] {
+                *v = -*v;
+            }
         }
-        row[m] = Complex::new(z0.re - z0.im, 0.0);
-        row[0] = Complex::new(z0.re + z0.im, 0.0);
+        let (r0, rm) = row_pair(re, lanes, 0, m);
+        let (i0, im_) = row_pair(im, lanes, 0, m);
+        for l in 0..lanes {
+            let z0 = Complex::new(r0[l], i0[l]);
+            (rm[l], im_[l]) = (z0.re - z0.im, 0.0);
+            (r0[l], i0[l]) = (z0.re + z0.im, 0.0);
+        }
     }
 
-    /// Tangles one spectrum row in place: on entry `row[0..=m]` holds bins
-    /// `X[0..=m]`; on exit `row[0..m]` holds the half-length sequence whose
-    /// inverse FFT yields the packed real samples.
+    /// Tangles a tile in place: on entry plane row `slots[k]` holds bin
+    /// `X[k]` for `k < m` and row `m` holds `X[m]`; on exit row `slots[k]`
+    /// holds element `k` of the half-length sequence whose inverse FFT yields
+    /// the packed real samples — already in the digit-reversed order the
+    /// kernel expects.
     // lint: hot-path
-    fn tangle_row(&self, row: &mut [Complex]) {
+    fn tangle(&self, re: &mut [f32], im: &mut [f32], lanes: usize) {
         let m = self.width / 2;
+        let slots = self.row_plan.slots();
         // General (complex-boundary-safe) tangle so the adjoint path may feed
         // symmetrized but non-real DC/Nyquist entries through the same code.
-        let x0 = row[0];
-        let xm = row[m];
-        let e0 = (x0 + xm.conj()).scale(0.5);
-        let o0 = (x0 - xm.conj()).scale(0.5);
-        row[0] = Complex::new(e0.re - o0.im, e0.im + o0.re); // e0 + i·o0
+        let (r0, rm) = row_pair(re, lanes, slots[0] as usize, m);
+        let (i0, im_) = row_pair(im, lanes, slots[0] as usize, m);
+        for l in 0..lanes {
+            let x0 = Complex::new(r0[l], i0[l]);
+            let xm = Complex::new(rm[l], im_[l]);
+            let e0 = (x0 + xm.conj()).scale(0.5);
+            let o0 = (x0 - xm.conj()).scale(0.5);
+            (r0[l], i0[l]) = (e0.re - o0.im, e0.im + o0.re); // e0 + i·o0
+        }
         let mut k = 1;
         while 2 * k < m {
-            let xk = row[k];
-            let xmk = row[m - k];
-            let e = (xk + xmk.conj()).scale(0.5);
-            let t = (xk - xmk.conj()).scale(0.5);
-            let o = t * self.tw[k].conj();
-            row[k] = Complex::new(e.re - o.im, e.im + o.re); // e + i·o
-            let (ec, oc) = (e.conj(), o.conj());
-            row[m - k] = Complex::new(ec.re - oc.im, ec.im + oc.re);
+            let twc = self.tw[k].conj();
+            let (p, q) = (slots[k] as usize, slots[m - k] as usize);
+            let (rk, rmk) = row_pair(re, lanes, p, q);
+            let (ik, imk) = row_pair(im, lanes, p, q);
+            tangle_pair(rk, ik, rmk, imk, twc);
             k += 1;
         }
         if m >= 2 {
-            let x = row[m / 2];
-            let e = (x + x.conj()).scale(0.5);
-            let o = (x - x.conj()).scale(0.5) * self.tw[m / 2].conj();
-            row[m / 2] = Complex::new(e.re - o.im, e.im + o.re);
+            let twc = self.tw[m / 2].conj();
+            let at = slots[m / 2] as usize * lanes;
+            for (r, i) in re[at..at + lanes].iter_mut().zip(&mut im[at..at + lanes]) {
+                let x = Complex::new(*r, *i);
+                let e = (x + x.conj()).scale(0.5);
+                let o = (x - x.conj()).scale(0.5) * twc;
+                (*r, *i) = (e.re - o.im, e.im + o.re);
+            }
         }
+    }
+}
+
+/// Rows `p` and `q` (`p != q`) of a plane with `lanes` columns, borrowed
+/// together.
+fn row_pair(plane: &mut [f32], lanes: usize, p: usize, q: usize) -> (&mut [f32], &mut [f32]) {
+    let (lo, hi) = if p < q { (p, q) } else { (q, p) };
+    let (a, b) = plane.split_at_mut(hi * lanes);
+    let (lo_row, hi_row) = (&mut a[lo * lanes..][..lanes], &mut b[..lanes]);
+    if p < q {
+        (lo_row, hi_row)
+    } else {
+        (hi_row, lo_row)
+    }
+}
+
+/// One untangle step across a row of lanes: bins `k` (`rk`, `ik`) and
+/// `m - k` (`rmk`, `imk`) from the half-length spectra at the same rows,
+/// with the untangling twiddles of both bins.
+// lint: hot-path
+#[inline(never)]
+fn untangle_pair(
+    rk: &mut [f32],
+    ik: &mut [f32],
+    rmk: &mut [f32],
+    imk: &mut [f32],
+    twk: Complex,
+    twmk: Complex,
+) {
+    for (((rk, ik), rmk), imk) in rk.iter_mut().zip(ik).zip(rmk).zip(imk) {
+        let zk = Complex::new(*rk, *ik);
+        let zmk = Complex::new(*rmk, *imk);
+        let e = (zk + zmk.conj()).scale(0.5);
+        let d = zk - zmk.conj();
+        // o = -i/2 · d
+        let o = Complex::new(0.5 * d.im, -0.5 * d.re);
+        let xk = e + twk * o;
+        let xmk = e.conj() + twmk * o.conj();
+        (*rk, *ik, *rmk, *imk) = (xk.re, xk.im, xmk.re, xmk.im);
+    }
+}
+
+/// One tangle step across a row of lanes: bins `X[k]` (`rk`, `ik`) and
+/// `X[m - k]` (`rmk`, `imk`) become elements `k` and `m - k` of the
+/// half-length sequence; `twc` is the conjugated twiddle of bin `k`.
+// lint: hot-path
+#[inline(never)]
+fn tangle_pair(rk: &mut [f32], ik: &mut [f32], rmk: &mut [f32], imk: &mut [f32], twc: Complex) {
+    for (((rk, ik), rmk), imk) in rk.iter_mut().zip(ik).zip(rmk).zip(imk) {
+        let xk = Complex::new(*rk, *ik);
+        let xmk = Complex::new(*rmk, *imk);
+        let e = (xk + xmk.conj()).scale(0.5);
+        let t = (xk - xmk.conj()).scale(0.5);
+        let o = t * twc;
+        let (ec, oc) = (e.conj(), o.conj());
+        // e + i·o at k, conj(e) + i·conj(o) at m - k.
+        (*rk, *ik) = (e.re - o.im, e.im + o.re);
+        (*rmk, *imk) = (ec.re - oc.im, ec.im + oc.re);
     }
 }
 

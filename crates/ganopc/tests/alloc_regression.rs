@@ -17,9 +17,16 @@
 //! The obs instrumentation (span timers, counters, trace rings) is active
 //! on every measured path and is itself covered by a dedicated block: the
 //! zero-allocation guarantee holds *with metrics recording enabled*.
+//!
+//! The litho hot path (the fused three-dose gradient, the single-dose
+//! gradient and the aerial image) is held to the same rule at one and four
+//! threads, on a 32-px and a 128-px frame. This counts every heap
+//! allocation, not only arena freelist misses, so growth of the FFT scratch
+//! buffers that the arena hands out is caught too.
 
 use ganopc_core::{Discriminator, GanTrainer, Generator, OpcDataset, TrainConfig};
 use ganopc_ilt::IltConfig;
+use ganopc_litho::{Field, LithoModel};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -116,6 +123,15 @@ fn steady_state_training_and_inference_allocate_nothing() {
     let delta = allocations() - before;
     assert_eq!(delta, 0, "infer_into allocated {delta} times after warmup at 4 threads");
 
+    // Litho hot path at 1 and 4 threads on a small and a cache-resident frame.
+    for size in [32, 128] {
+        let model = LithoModel::iccad2013_like(size).unwrap();
+        for threads in [1, 4] {
+            ganopc_nn::pool::set_max_threads(Some(threads));
+            litho_steady_state_allocates_nothing(&model, threads);
+        }
+    }
+
     // Metrics recording itself is allocation-free: counters, span guards,
     // and trace pushes write fixed static slots. Every measured loop above
     // already ran with the train/infer spans and pool counters recording;
@@ -133,4 +149,34 @@ fn steady_state_training_and_inference_allocate_nothing() {
     assert_eq!(delta, 0, "obs recording allocated {delta} times");
 
     ganopc_nn::pool::set_max_threads(None);
+}
+
+/// Warms `model` up on every litho entry point the ILT loop and the flow
+/// use, then asserts that three more rounds allocate nothing.
+fn litho_steady_state_allocates_nothing(model: &LithoModel, threads: usize) {
+    let (h, w) = model.shape();
+    let target = Field::from_vec(
+        h,
+        w,
+        (0..h * w).map(|i| if (i / w) % 8 < 4 && (i % w) % 6 < 3 { 1.0 } else { 0.0 }).collect(),
+    );
+    let mask = target.map(|t| 0.2 + 0.6 * t);
+    let delta = model.dose_delta();
+    let doses = [1.0 - delta, 1.0, 1.0 + delta];
+    let mut grad = vec![0.0f32; h * w];
+    let mut aerial = vec![0.0f32; h * w];
+    let round = |grad: &mut [f32], aerial: &mut [f32]| {
+        model.gradient_doses_into(&mask, &target, &doses, grad).unwrap();
+        model.gradient_into(&mask, &target, 1.0, grad).unwrap();
+        model.aerial_image_into(&mask, aerial).unwrap();
+    };
+    for _ in 0..2 {
+        round(&mut grad, &mut aerial);
+    }
+    let before = allocations();
+    for _ in 0..3 {
+        round(&mut grad, &mut aerial);
+    }
+    let delta = allocations() - before;
+    assert_eq!(delta, 0, "{h}-px litho hot path allocated {delta} times at {threads} threads");
 }
