@@ -7,7 +7,9 @@
 //!   (`geometry::io::write_atomic*`); can fail the write outright, tear it
 //!   at a byte offset, report `ENOSPC`, or fail the fsync/rename step.
 //! * [`next_read_fault`] — consulted once per checkpoint file read
-//!   (`nn::checkpoint`); fails the read with an injected I/O error.
+//!   (`nn::checkpoint::Checkpoint::load`, which also reads every SOCS
+//!   kernel-cache entry); fails the read with an injected I/O error, which
+//!   the kernel cache treats as a miss.
 //! * [`numeric_fault`] — consulted once per training/pretraining/ILT step;
 //!   poisons the step's reported loss with NaN or ∞ at a chosen step index,
 //!   simulating numeric divergence for the supervisor to catch.

@@ -1,5 +1,6 @@
 //! The encoder–decoder mask generator (paper Section 3.1, Fig. 4).
 
+use ganopc_nn::checkpoint::Checkpoint;
 use ganopc_nn::layers::{
     BatchNorm2d, Conv2d, ConvTranspose2d, LeakyRelu, Relu, Sequential, Sigmoid,
 };
@@ -178,24 +179,27 @@ impl Generator {
     }
 
     /// Saves all weights (including batch-norm running statistics) to a
-    /// checkpoint file.
+    /// checkpoint file, as the `g/params` section trainer states also use.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures.
     pub fn save<P: AsRef<std::path::Path>>(&mut self, path: P) -> Result<(), crate::GanOpcError> {
-        let snapshot = self.export_params();
-        ganopc_nn::checkpoint::save(path, &snapshot)?;
+        let mut ck = Checkpoint::new();
+        ck.put_tensors("g/params", &self.export_params());
+        ck.save(path)?;
         Ok(())
     }
 
-    /// Loads weights from a checkpoint file produced by [`Generator::save`].
+    /// Loads the `g/params` weights of a checkpoint file: one written by
+    /// [`Generator::save`], a trainer or pre-trainer state, or a legacy v1
+    /// snapshot.
     ///
     /// # Errors
     ///
     /// Propagates I/O/format failures and layout mismatches.
     pub fn load<P: AsRef<std::path::Path>>(&mut self, path: P) -> Result<(), crate::GanOpcError> {
-        let snapshot = ganopc_nn::checkpoint::load(path)?;
+        let snapshot = Checkpoint::load(path)?.take_tensors("g/params")?;
         self.import_params(&snapshot)?;
         Ok(())
     }

@@ -2,8 +2,9 @@
 //! seeded fault plans ([`ganopc_fault::plan_from_seed`]) must complete or
 //! fail with a typed error — never panic — and every artifact that
 //! survives on disk must reload. Plus targeted single-fault tests for
-//! each write-fault kind, the read-fault hook, NaN-at-step-k recovery,
-//! and the rollback bit-identity guarantee.
+//! each write-fault kind, the read-fault hook on checkpoints and on the
+//! kernel cache, NaN-at-step-k recovery, and the rollback bit-identity
+//! guarantee.
 //!
 //! This whole file is compiled only with the `fault-inject` feature;
 //! `scripts/check.sh` runs it as
@@ -19,8 +20,8 @@ use ganopc_fault as fault;
 use ganopc_fault::{Domain, FaultPlan, NumericFault, WriteFault};
 use ganopc_geometry::io::write_atomic;
 use ganopc_ilt::{IltConfig, IltEngine};
-use ganopc_litho::{Field, LithoModel, OpticalConfig};
-use ganopc_nn::checkpoint::{self, Checkpoint};
+use ganopc_litho::{cache, Field, LithoModel, OpticalConfig, SocsKernels};
+use ganopc_nn::checkpoint::Checkpoint;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -77,11 +78,8 @@ fn assert_artifacts_clean(dir: &Path) {
                 "stray atomic-write temporary survived: {}",
                 path.display()
             );
-            if name.starts_with("ring-") || name == "best.ckpt" {
+            if name.ends_with(".ckpt") {
                 Checkpoint::load(&path)
-                    .unwrap_or_else(|e| panic!("unreloadable ring entry {}: {e}", path.display()));
-            } else if name.ends_with(".ckpt") {
-                checkpoint::load(&path)
                     .unwrap_or_else(|e| panic!("unreloadable artifact {}: {e}", path.display()));
             }
         }
@@ -248,6 +246,39 @@ fn read_fault_fails_one_load_then_recovers() {
     let reloaded = Checkpoint::load(&path).unwrap();
     fault::clear();
     assert_eq!(reloaded.get_u64("progress/step").unwrap(), 7);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A read fault on a kernel-cache entry is a cache miss: the stack is
+/// rederived bit-equal and the entry rewritten, never an error.
+#[test]
+fn read_fault_on_kernel_cache_entry_is_a_miss() {
+    let _g = faults_serialized();
+    let dir = soak_dir("kernel-cache");
+    let mut cfg = OpticalConfig::default_32nm(2048.0 / 32.0);
+    cfg.pupil_grid = 11;
+    cfg.num_kernels = 6;
+    let bits = |s: &SocsKernels| -> Vec<u32> {
+        let taps = s.kernels().iter().flat_map(|k| &k.taps).flat_map(|c| [c.re, c.im]);
+        s.kernels().iter().map(|k| k.weight).chain(taps).map(f32::to_bits).collect()
+    };
+    let entry_bytes = || {
+        let path = dir.read_dir().unwrap().next().unwrap().unwrap().path();
+        std::fs::read(path).unwrap()
+    };
+    let derived = bits(&SocsKernels::from_config(&cfg));
+    cache::load_or_derive(&cfg, &dir);
+    let entry = entry_bytes();
+    let mut plan = FaultPlan::empty();
+    plan.read_faults.push(0);
+    let before = fault::injected_count();
+    fault::install(plan);
+    let loaded = cache::load_or_derive(&cfg, &dir);
+    let fired = fault::injected_count() - before;
+    fault::clear();
+    assert_eq!(fired, 1, "the cache read did not consult the fault plane");
+    assert_eq!(bits(&loaded), derived, "faulted read did not rederive the same stack");
+    assert_eq!(entry_bytes(), entry, "the rewritten entry differs");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

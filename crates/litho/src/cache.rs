@@ -6,31 +6,50 @@
 //! it is cached to disk keyed by a hash of the configuration; experiment
 //! binaries that build many models of the same optics pay the eigensolve
 //! once per process *and* once per machine.
+//!
+//! An entry is a CRC-checked [`Checkpoint`] with these sections:
+//!
+//! | section           | kind    | contents                              |
+//! |-------------------|---------|---------------------------------------|
+//! | `meta/kind`       | bytes   | `gan-opc/socs-kernels`                |
+//! | `socs/config_key` | u64     | [`config_key`] of the generating optics |
+//! | `socs/pixel_nm`   | f64     | simulation pixel pitch                |
+//! | `socs/weights`    | tensors | one `[n]` tensor of kernel weights    |
+//! | `socs/taps`       | tensors | one `[n, k, k, 2]` tensor of (re, im) taps |
+//!
+//! Any read error, checksum failure, missing section, key mismatch or
+//! inconsistent shape is a miss: the stack is rederived and the entry
+//! overwritten.
 
 use crate::optics::OpticalConfig;
 use crate::socs::{SocsKernel, SocsKernels};
 use ganopc_fft::Complex;
-use serde::{Deserialize, Serialize};
+use ganopc_nn::checkpoint::Checkpoint;
+use ganopc_nn::Tensor;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 
-/// Serializable image of a kernel stack.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct StackImage {
-    /// Hash key of the generating configuration (collision check).
-    config_key: u64,
-    kernel_size: usize,
-    pixel_nm: f64,
-    /// Per kernel: weight + interleaved (re, im) taps.
-    kernels: Vec<(f32, Vec<(f32, f32)>)>,
-}
+/// Version of the TCC → Jacobi → SOCS derivation, folded into
+/// [`config_key`]. Bump it whenever a change alters any bit of
+/// [`SocsKernels::from_config`]'s output: the new key names a new cache
+/// file, so entries derived by older code are never read again.
+pub const SOCS_DERIVATION_VERSION: u64 = 1;
 
-/// A stable, quantized fingerprint of an optical configuration.
+/// The `meta/kind` tag of a kernel-cache entry.
+const KIND: &[u8] = b"gan-opc/socs-kernels";
+
+/// A stable, quantized fingerprint of an optical configuration and of
+/// the derivation that turns it into kernels
+/// ([`SOCS_DERIVATION_VERSION`]).
 ///
 /// Floats are quantized to 1e-9 so that configurations equal up to noise
 /// share a cache entry, and the hash is FNV-1a over the quantized fields
 /// (stable across platforms and runs, unlike `DefaultHasher`).
 pub fn config_key(cfg: &OpticalConfig) -> u64 {
+    versioned_key(cfg, SOCS_DERIVATION_VERSION)
+}
+
+fn versioned_key(cfg: &OpticalConfig, version: u64) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |v: u64| {
         for byte in v.to_le_bytes() {
@@ -39,6 +58,7 @@ pub fn config_key(cfg: &OpticalConfig) -> u64 {
         }
     };
     let q = |f: f64| (f * 1e9).round() as i64 as u64;
+    mix(version);
     mix(q(cfg.wavelength_nm));
     mix(q(cfg.numerical_aperture));
     mix(q(cfg.sigma_inner));
@@ -95,118 +115,65 @@ fn cache_path(dir: &Path, key: u64) -> PathBuf {
     dir.join(format!("socs-{key:016x}.bin"))
 }
 
-fn encode(image: &StackImage) -> Vec<u8> {
-    // Simple length-prefixed binary layout (matches the checkpoint style):
-    // key u64 | ksize u64 | pixel f64 | count u32 | per kernel:
-    //   weight f32 | taps u32 | taps × (f32, f32).
-    let mut out = Vec::new();
-    out.extend_from_slice(b"GANOPCSK");
-    out.extend_from_slice(&image.config_key.to_le_bytes());
-    out.extend_from_slice(&(image.kernel_size as u64).to_le_bytes());
-    out.extend_from_slice(&image.pixel_nm.to_le_bytes());
-    out.extend_from_slice(&(image.kernels.len() as u32).to_le_bytes());
-    for (w, taps) in &image.kernels {
-        out.extend_from_slice(&w.to_le_bytes());
-        out.extend_from_slice(&(taps.len() as u32).to_le_bytes());
-        for (re, im) in taps {
-            out.extend_from_slice(&re.to_le_bytes());
-            out.extend_from_slice(&im.to_le_bytes());
-        }
-    }
-    out
+/// Packs the stack derived for `cfg` into a cache entry.
+fn to_checkpoint(cfg: &OpticalConfig, stack: &SocsKernels) -> Checkpoint {
+    let (n, k) = (stack.len(), stack.kernel_size());
+    let weights = stack.kernels().iter().map(|s| s.weight).collect();
+    let taps = stack.kernels().iter().flat_map(|s| &s.taps).flat_map(|c| [c.re, c.im]).collect();
+    let mut ck = Checkpoint::new();
+    ck.put_bytes("meta/kind", KIND.to_vec());
+    ck.put_u64("socs/config_key", config_key(cfg));
+    ck.put_f64("socs/pixel_nm", stack.pixel_nm());
+    ck.put_tensors("socs/weights", &[Tensor::from_vec(&[n], weights)]);
+    ck.put_tensors("socs/taps", &[Tensor::from_vec(&[n, k, k, 2], taps)]);
+    ck
 }
 
-fn decode(bytes: &[u8]) -> Option<StackImage> {
-    let mut cur = 0usize;
-    let take = |cur: &mut usize, n: usize| -> Option<&[u8]> {
-        let end = cur.checked_add(n)?;
-        if end > bytes.len() {
-            return None;
-        }
-        let s = &bytes[*cur..end];
-        *cur = end;
-        Some(s)
-    };
-    if take(&mut cur, 8)? != b"GANOPCSK" {
+/// Unpacks a cache entry for `cfg`; `None` (a miss) when a section is
+/// missing or mistyped, the key or kernel size disagrees with `cfg`, or
+/// the shapes are inconsistent.
+fn from_checkpoint(mut ck: Checkpoint, cfg: &OpticalConfig) -> Option<SocsKernels> {
+    if ck.get_bytes("meta/kind").ok()? != KIND
+        || ck.get_u64("socs/config_key").ok()? != config_key(cfg)
+    {
         return None;
     }
-    let config_key = u64::from_le_bytes(take(&mut cur, 8)?.try_into().ok()?);
-    let kernel_size = u64::from_le_bytes(take(&mut cur, 8)?.try_into().ok()?) as usize;
-    let pixel_nm = f64::from_le_bytes(take(&mut cur, 8)?.try_into().ok()?);
-    let count = u32::from_le_bytes(take(&mut cur, 4)?.try_into().ok()?) as usize;
-    if count == 0 || count > 1024 {
+    let pixel_nm = ck.get_f64("socs/pixel_nm").ok()?;
+    let [weights] = <[Tensor; 1]>::try_from(ck.take_tensors("socs/weights").ok()?).ok()?;
+    let [taps] = <[Tensor; 1]>::try_from(ck.take_tensors("socs/taps").ok()?).ok()?;
+    let &[n] = weights.shape() else { return None };
+    let &[tn, k, k2, 2] = taps.shape() else { return None };
+    if !(1..=1024).contains(&n) || tn != n || k != k2 || k != cfg.kernel_size || k % 2 == 0 || k < 3
+    {
         return None;
     }
-    let mut kernels = Vec::with_capacity(count);
-    for _ in 0..count {
-        let w = f32::from_le_bytes(take(&mut cur, 4)?.try_into().ok()?);
-        let ntaps = u32::from_le_bytes(take(&mut cur, 4)?.try_into().ok()?) as usize;
-        if ntaps != kernel_size * kernel_size {
-            return None;
-        }
-        let raw = take(&mut cur, 8 * ntaps)?;
-        let taps: Vec<(f32, f32)> = raw
-            .chunks_exact(8)
-            .map(|c| {
-                (
-                    // PANIC: chunks_exact(8) yields exactly 8 bytes per chunk.
-                    f32::from_le_bytes(c[0..4].try_into().expect("4 bytes")),
-                    // PANIC: chunks_exact(8) yields exactly 8 bytes per chunk.
-                    f32::from_le_bytes(c[4..8].try_into().expect("4 bytes")),
-                )
-            })
-            .collect();
-        kernels.push((w, taps));
-    }
-    if cur != bytes.len() {
-        return None;
-    }
-    Some(StackImage { config_key, kernel_size, pixel_nm, kernels })
-}
-
-fn to_image(cfg: &OpticalConfig, stack: &SocsKernels) -> StackImage {
-    StackImage {
-        config_key: config_key(cfg),
-        kernel_size: stack.kernel_size(),
-        pixel_nm: stack.pixel_nm(),
-        kernels: stack
-            .kernels()
-            .iter()
-            .map(|k| (k.weight, k.taps.iter().map(|c| (c.re, c.im)).collect()))
-            .collect(),
-    }
-}
-
-fn from_image(image: StackImage) -> SocsKernels {
-    let kernels = image
-        .kernels
-        .into_iter()
-        .map(|(weight, taps)| SocsKernel {
+    let taps = taps.into_vec();
+    let kernels = weights
+        .as_slice()
+        .iter()
+        .zip(taps.chunks_exact(2 * k * k))
+        .map(|(&weight, t)| SocsKernel {
             weight,
-            taps: taps.into_iter().map(|(re, im)| Complex::new(re, im)).collect(),
+            taps: t.chunks_exact(2).map(|c| Complex::new(c[0], c[1])).collect(),
         })
         .collect();
-    SocsKernels::from_parts(image.kernel_size, image.pixel_nm, kernels)
+    Some(SocsKernels::from_parts(k, pixel_nm, kernels))
 }
 
 /// Loads the kernel stack for `cfg` from `dir`, deriving and storing it on
-/// a miss. Corrupt or mismatched cache entries are silently rederived
-/// (and overwritten); cache I/O failures fall back to derivation.
+/// a miss. Unreadable, corrupt or mismatched cache entries are silently
+/// rederived (and overwritten); cache I/O failures fall back to derivation.
 pub fn load_or_derive(cfg: &OpticalConfig, dir: &Path) -> SocsKernels {
-    let key = config_key(cfg);
-    let path = cache_path(dir, key);
-    if let Ok(bytes) = std::fs::read(&path) {
-        if let Some(image) = decode(&bytes) {
-            if image.config_key == key {
-                return from_image(image);
-            }
-        }
+    let path = cache_path(dir, config_key(cfg));
+    if let Some(stack) = Checkpoint::load(&path).ok().and_then(|ck| from_checkpoint(ck, cfg)) {
+        return stack;
     }
     let stack = SocsKernels::from_config(cfg);
     if std::fs::create_dir_all(dir).is_ok() {
         // Atomic write: a crash mid-store must not leave a truncated blob
-        // that every later process re-reads, rejects, and rewrites.
-        let _ = ganopc_geometry::io::write_atomic(&path, &encode(&to_image(cfg, &stack)));
+        // that every later process re-reads, rejects, and rewrites. Not
+        // `Checkpoint::save`, which would count the entry as a checkpoint.
+        let _ = ganopc_geometry::io::write_atomic(&path, &to_checkpoint(cfg, &stack).to_bytes());
     }
     stack
 }
@@ -229,13 +196,18 @@ mod tests {
         dir
     }
 
-    fn stacks_equal(a: &SocsKernels, b: &SocsKernels) -> bool {
-        a.kernel_size() == b.kernel_size()
-            && a.len() == b.len()
-            && a.kernels()
-                .iter()
-                .zip(b.kernels())
-                .all(|(x, y)| x.weight == y.weight && x.taps == y.taps)
+    /// Every bit of a stack, for exact comparisons.
+    fn bits(s: &SocsKernels) -> Vec<u64> {
+        let mut v = vec![s.kernel_size() as u64, s.pixel_nm().to_bits()];
+        for k in s.kernels() {
+            v.push(k.weight.to_bits().into());
+            v.extend(k.taps.iter().flat_map(|c| [c.re.to_bits(), c.im.to_bits()]).map(u64::from));
+        }
+        v
+    }
+
+    fn decode(bytes: &[u8], cfg: &OpticalConfig) -> Option<SocsKernels> {
+        Checkpoint::from_bytes(bytes).ok().and_then(|ck| from_checkpoint(ck, cfg))
     }
 
     #[test]
@@ -262,6 +234,7 @@ mod tests {
         assert_ne!(config_key(&a), config_key(&b));
         assert_ne!(config_key(&a), config_key(&c));
         assert_eq!(config_key(&a), config_key(&fast_cfg()));
+        assert_ne!(config_key(&a), versioned_key(&a, SOCS_DERIVATION_VERSION + 1));
     }
 
     #[test]
@@ -269,10 +242,11 @@ mod tests {
         let dir = temp_dir("roundtrip");
         let cfg = fast_cfg();
         let derived = load_or_derive(&cfg, &dir);
+        assert_eq!(bits(&derived), bits(&SocsKernels::from_config(&cfg)));
         // Second call must hit the file and reproduce the stack exactly.
         assert!(cache_path(&dir, config_key(&cfg)).exists());
         let cached = load_or_derive(&cfg, &dir);
-        assert!(stacks_equal(&derived, &cached));
+        assert_eq!(bits(&derived), bits(&cached));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -280,38 +254,68 @@ mod tests {
     fn corrupt_entries_are_rederived() {
         let dir = temp_dir("corrupt");
         let cfg = fast_cfg();
-        let derived = load_or_derive(&cfg, &dir);
+        let derived = SocsKernels::from_config(&cfg);
+        let (n, k) = (derived.len(), derived.kernel_size());
+        let good = to_checkpoint(&cfg, &derived);
+        let entry = good.to_bytes();
+        let mut flipped = entry.clone();
+        flipped[entry.len() / 2] ^= 0x04;
+        let mut stale = good.clone();
+        stale.put_u64("socs/config_key", versioned_key(&cfg, SOCS_DERIVATION_VERSION + 1));
+        let mut oversized = good.clone();
+        oversized.put_tensors("socs/taps", &[Tensor::zeros(&[n, k + 2, k + 2, 2])]);
         let path = cache_path(&dir, config_key(&cfg));
-        std::fs::write(&path, b"garbage").unwrap();
-        let recovered = load_or_derive(&cfg, &dir);
-        assert!(stacks_equal(&derived, &recovered));
-        // And the file was repaired.
-        let cached = load_or_derive(&cfg, &dir);
-        assert!(stacks_equal(&derived, &cached));
+        let planted = [
+            ("garbage", b"garbage".to_vec()),
+            ("bit flip", flipped),
+            ("stale derivation version", stale.to_bytes()),
+            ("oversized taps", oversized.to_bytes()),
+        ];
+        for (what, bytes) in planted {
+            std::fs::write(&path, bytes).unwrap();
+            let recovered = load_or_derive(&cfg, &dir);
+            assert_eq!(bits(&recovered), bits(&derived), "{what}: stack differs");
+            assert_eq!(std::fs::read(&path).unwrap(), entry, "{what}: entry not repaired");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn encode_decode_is_exact() {
+    fn checkpoint_roundtrip_is_exact() {
         let cfg = fast_cfg();
         let stack = SocsKernels::from_config(&cfg);
-        let image = to_image(&cfg, &stack);
-        let decoded = decode(&encode(&image)).expect("decodable");
-        assert_eq!(decoded.config_key, image.config_key);
-        assert_eq!(decoded.kernels.len(), image.kernels.len());
-        assert_eq!(decoded.kernels, image.kernels);
+        let decoded = decode(&to_checkpoint(&cfg, &stack).to_bytes(), &cfg).expect("decodable");
+        assert_eq!(bits(&decoded), bits(&stack));
+        // An entry is only valid for the configuration that wrote it.
+        let mut other = fast_cfg();
+        other.defocus_nm = 40.0;
+        assert!(decode(&to_checkpoint(&cfg, &stack).to_bytes(), &other).is_none());
+    }
+
+    #[test]
+    fn every_bit_flip_is_rejected() {
+        // A small kernel support keeps the entry short enough to flip a
+        // bit at every byte position.
+        let mut cfg = fast_cfg();
+        cfg.kernel_size = 5;
+        let bytes = to_checkpoint(&cfg, &SocsKernels::from_config(&cfg)).to_bytes();
+        assert!(decode(&bytes, &cfg).is_some());
+        for pos in 0..bytes.len() {
+            let mut corrupt = bytes.clone();
+            corrupt[pos] ^= 1 << (pos % 8);
+            assert!(decode(&corrupt, &cfg).is_none(), "bit flip at byte {pos} accepted");
+        }
     }
 
     #[test]
     fn truncated_blobs_rejected() {
         let cfg = fast_cfg();
-        let stack = SocsKernels::from_config(&cfg);
-        let bytes = encode(&to_image(&cfg, &stack));
+        let bytes = to_checkpoint(&cfg, &SocsKernels::from_config(&cfg)).to_bytes();
         for cut in [4usize, 20, bytes.len() - 3] {
-            assert!(decode(&bytes[..cut]).is_none(), "cut {cut} accepted");
+            assert!(decode(&bytes[..cut], &cfg).is_none(), "cut {cut} accepted");
         }
         let mut padded = bytes.clone();
         padded.push(0);
-        assert!(decode(&padded).is_none());
+        assert!(decode(&padded, &cfg).is_none());
     }
 }

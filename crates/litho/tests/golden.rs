@@ -72,7 +72,9 @@ fn aerial_and_fused_gradient_match_golden_bits() {
             (aerial_hash, gradient_hash),
             (AERIAL_HASH, GRADIENT_HASH),
             "litho output bits changed at {threads} threads: aerial 0x{aerial_hash:016x}, \
-             gradient 0x{gradient_hash:016x}"
+             gradient 0x{gradient_hash:016x}. If the TCC, Jacobi or SOCS derivation changed \
+             on purpose, bump SOCS_DERIVATION_VERSION in crates/litho/src/cache.rs so no \
+             cached kernel stack from the old code is read again"
         );
     }
     ganopc_nn::pool::set_max_threads(None);

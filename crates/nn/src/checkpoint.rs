@@ -1,26 +1,12 @@
-//! Binary checkpoint formats for parameter and training-state snapshots.
+//! Binary checkpoint format for parameter snapshots, training state and
+//! cached derived data.
 //!
-//! Two wire formats share the `"GANOPCKP"` magic:
-//!
-//! **v1** — a bare tensor list, produced by [`to_bytes`] and consumed by
-//! [`from_bytes`]; this is what
-//! [`Sequential::export_params`](crate::layers::Sequential::export_params)
-//! snapshots persist as:
-//!
-//! ```text
-//! magic   "GANOPCKP"            8 bytes
-//! version u32 le = 1            4 bytes
-//! count   u32 le                4 bytes
-//! per tensor:
-//!   rank  u32 le                        (1..=8)
-//!   dims  rank × u64 le                 (each 1..=u32::MAX)
-//!   data  prod(dims) × f32 le
-//! ```
-//!
-//! **v2** — the [`Checkpoint`] container: a sequence of *named, typed
-//! sections* (tensor lists, `u64`/`f64` scalars, raw bytes) closed by a
-//! CRC-32 trailer, so one file can carry a full training state — several
-//! networks, optimizer velocities, step counters, shuffle cursors:
+//! Every binary artifact the workspace writes is a [`Checkpoint`]: a
+//! sequence of *named, typed sections* (tensor lists, `u64`/`f64`
+//! scalars, raw bytes) closed by a CRC-32 trailer, so one file can carry
+//! a generator snapshot, a full training state — several networks,
+//! optimizer velocities, step counters, shuffle cursors — or a cached
+//! SOCS kernel stack:
 //!
 //! ```text
 //! magic    "GANOPCKP"           8 bytes
@@ -31,12 +17,23 @@
 //!   name     name_len × u8              (utf-8)
 //!   kind     u8                         (1 tensors, 2 u64, 3 f64, 4 bytes)
 //!   len      u64 le
-//!   payload  len × u8                   (kind 1: a v1-style tensor list
-//!                                        without magic/version header)
+//!   payload  len × u8                   (kind 1: a tensor list, below)
 //! crc32    u32 le               IEEE CRC-32 of every preceding byte
+//!
+//! tensor list:
+//!   count u32 le
+//!   per tensor:
+//!     rank  u32 le                      (1..=8)
+//!     dims  rank × u64 le               (each 1..=u32::MAX)
+//!     data  prod(dims) × f32 le
 //! ```
 //!
-//! Both decoders validate every header integer against the remaining byte
+//! Version 1 files — the magic, `version u32 le = 1` and one bare tensor
+//! list, which older builds wrote for generator snapshots — are legacy
+//! input only: [`Checkpoint::from_bytes`] loads one as a container whose
+//! single section `g/params` holds the list. Nothing writes version 1.
+//!
+//! The decoder validates every header integer against the remaining byte
 //! budget **before** allocating, so corrupt or hostile inputs fail with a
 //! typed [`CheckpointError`] and bounded memory, never a panic or a
 //! multi-gigabyte allocation. All file writes go through
@@ -223,6 +220,14 @@ impl<'a> Cursor<'a> {
         Ok(slice)
     }
 
+    /// Fails unless every byte was consumed.
+    fn finish(&self) -> Result<(), CheckpointError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(CheckpointError::Truncated(format!("{n} trailing bytes"))),
+        }
+    }
+
     fn u8(&mut self) -> Result<u8, CheckpointError> {
         Ok(self.take(1)?[0])
     }
@@ -244,7 +249,7 @@ impl<'a> Cursor<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Tensor-list payload (shared by v1 bodies and v2 tensor sections).
+// Tensor-list payload (v2 tensor sections and legacy v1 bodies).
 // ---------------------------------------------------------------------------
 
 /// Smallest possible encoded tensor: rank + one dim + one f32 element.
@@ -313,69 +318,7 @@ fn decode_tensor_list(cur: &mut Cursor<'_>) -> Result<Vec<Tensor>, CheckpointErr
 }
 
 // ---------------------------------------------------------------------------
-// v1 — bare tensor-list snapshots.
-// ---------------------------------------------------------------------------
-
-/// Serializes a snapshot into v1 bytes.
-pub fn to_bytes(tensors: &[Tensor]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(12 + tensor_list_len(tensors));
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION_V1.to_le_bytes());
-    encode_tensor_list(&mut out, tensors);
-    out
-}
-
-/// Deserializes a v1 snapshot from bytes.
-///
-/// # Errors
-///
-/// Returns [`CheckpointError`] on malformed input (including v2 blobs —
-/// use [`Checkpoint::from_bytes`] to read either version).
-pub fn from_bytes(bytes: &[u8]) -> Result<Vec<Tensor>, CheckpointError> {
-    let mut cur = Cursor::new(bytes);
-    if cur.take(8)? != MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    let version = cur.u32()?;
-    if version != VERSION_V1 {
-        return Err(CheckpointError::BadVersion(version));
-    }
-    let tensors = decode_tensor_list(&mut cur)?;
-    if cur.remaining() != 0 {
-        return Err(CheckpointError::Truncated(format!("{} trailing bytes", cur.remaining())));
-    }
-    Ok(tensors)
-}
-
-/// Writes a v1 snapshot to a file atomically (tmp file → sync → rename).
-///
-/// # Errors
-///
-/// Propagates I/O failures; a failure never leaves a truncated file at
-/// `path`.
-pub fn save<P: AsRef<Path>>(path: P, tensors: &[Tensor]) -> Result<(), CheckpointError> {
-    let path = path.as_ref();
-    let sp = obs::span(obs::Span::CheckpointSave);
-    obs::counter_add(obs::Counter::CheckpointSaves, 1);
-    let result = ganopc_geometry::io::write_atomic(path, &to_bytes(tensors))
-        .map_err(|source| CheckpointError::File { op: "write", path: path.to_path_buf(), source });
-    sp.finish();
-    result
-}
-
-/// Reads a v1 snapshot from a file.
-///
-/// # Errors
-///
-/// Propagates I/O failures (reported with the path) and format errors.
-pub fn load<P: AsRef<Path>>(path: P) -> Result<Vec<Tensor>, CheckpointError> {
-    let path = path.as_ref();
-    let bytes = read_checkpoint_bytes(path)?;
-    from_bytes(&bytes)
-}
-
-// ---------------------------------------------------------------------------
-// v2 — named-section container.
+// The named-section container.
 // ---------------------------------------------------------------------------
 
 /// Payload of one named checkpoint section.
@@ -411,7 +354,7 @@ impl SectionData {
     }
 }
 
-/// A v2 checkpoint: an ordered set of named, typed sections.
+/// A checkpoint: an ordered set of named, typed sections.
 ///
 /// Section names are unique (putting a name twice replaces the payload)
 /// and at most 255 utf-8 bytes long. See the [module docs](self) for the
@@ -621,8 +564,8 @@ impl Checkpoint {
 
     /// Deserializes a checkpoint from bytes.
     ///
-    /// Accepts both wire versions: a v1 blob is wrapped into a container
-    /// with its tensor list under the single section `"params"`.
+    /// Also accepts a legacy v1 blob, wrapped into a container with its
+    /// tensor list under the single section `g/params`.
     ///
     /// # Errors
     ///
@@ -635,9 +578,11 @@ impl Checkpoint {
         }
         let version = cur.u32()?;
         if version == VERSION_V1 {
-            let mut ck = Checkpoint::new();
-            ck.put_tensors("params", &from_bytes(bytes)?);
-            return Ok(ck);
+            let tensors = decode_tensor_list(&mut cur)?;
+            cur.finish()?;
+            return Ok(Checkpoint {
+                sections: vec![("g/params".to_string(), SectionData::Tensors(tensors))],
+            });
         }
         if version != VERSION_V2 {
             return Err(CheckpointError::BadVersion(version));
@@ -718,9 +663,7 @@ impl Checkpoint {
             };
             ck.sections.push((name, data));
         }
-        if cur.remaining() != 0 {
-            return Err(CheckpointError::Truncated(format!("{} trailing bytes", cur.remaining())));
-        }
+        cur.finish()?;
         Ok(ck)
     }
 
@@ -741,7 +684,8 @@ impl Checkpoint {
         result
     }
 
-    /// Reads a container (either wire version) from a file.
+    /// Reads a container (or a legacy v1 blob) from a file, consulting
+    /// the fault sink first.
     ///
     /// # Errors
     ///
@@ -775,17 +719,27 @@ mod tests {
         ck
     }
 
+    /// A legacy v1 blob: magic, version 1, one bare tensor list.
+    fn v1_bytes(tensors: &[Tensor]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&VERSION_V1.to_le_bytes());
+        encode_tensor_list(&mut out, tensors);
+        out
+    }
+
+    fn g_params(bytes: &[u8]) -> Result<Vec<Tensor>, CheckpointError> {
+        Checkpoint::from_bytes(bytes)?.take_tensors("g/params")
+    }
+
     #[test]
     fn roundtrip_bytes() {
         let snap = snapshot();
-        let restored = from_bytes(&to_bytes(&snap)).unwrap();
-        assert_eq!(restored, snap);
+        assert_eq!(g_params(&v1_bytes(&snap)).unwrap(), snap);
     }
 
     #[test]
     fn roundtrip_empty_snapshot() {
-        let restored = from_bytes(&to_bytes(&[])).unwrap();
-        assert!(restored.is_empty());
+        assert!(g_params(&v1_bytes(&[])).unwrap().is_empty());
     }
 
     #[test]
@@ -794,14 +748,13 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.ckpt");
         let snap = snapshot();
-        save(&path, &snap).unwrap();
-        assert_eq!(load(&path).unwrap(), snap);
+        ganopc_geometry::io::write_atomic(&path, &v1_bytes(&snap)).unwrap();
+        assert_eq!(Checkpoint::load(&path).unwrap().take_tensors("g/params").unwrap(), snap);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn rejects_bad_magic() {
-        assert!(matches!(from_bytes(b"NOTACKPT\0\0\0\0"), Err(CheckpointError::BadMagic)));
         assert!(matches!(
             Checkpoint::from_bytes(b"NOTACKPT\0\0\0\0"),
             Err(CheckpointError::BadMagic)
@@ -810,18 +763,17 @@ mod tests {
 
     #[test]
     fn rejects_bad_version() {
-        let mut bytes = to_bytes(&snapshot());
+        let mut bytes = v1_bytes(&snapshot());
         bytes[8] = 99;
-        assert!(matches!(from_bytes(&bytes), Err(CheckpointError::BadVersion(_))));
         assert!(matches!(Checkpoint::from_bytes(&bytes), Err(CheckpointError::BadVersion(_))));
     }
 
     #[test]
     fn rejects_truncation() {
-        let bytes = to_bytes(&snapshot());
+        let bytes = v1_bytes(&snapshot());
         for cut in [10, 20, bytes.len() - 1] {
             assert!(
-                matches!(from_bytes(&bytes[..cut]), Err(CheckpointError::Truncated(_))),
+                matches!(g_params(&bytes[..cut]), Err(CheckpointError::Truncated(_))),
                 "cut at {cut} accepted"
             );
         }
@@ -829,9 +781,9 @@ mod tests {
 
     #[test]
     fn rejects_trailing_garbage() {
-        let mut bytes = to_bytes(&snapshot());
+        let mut bytes = v1_bytes(&snapshot());
         bytes.push(0);
-        assert!(matches!(from_bytes(&bytes), Err(CheckpointError::Truncated(_))));
+        assert!(matches!(g_params(&bytes), Err(CheckpointError::Truncated(_))));
     }
 
     #[test]
@@ -842,7 +794,7 @@ mod tests {
         bytes.extend_from_slice(MAGIC);
         bytes.extend_from_slice(&VERSION_V1.to_le_bytes());
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(from_bytes(&bytes), Err(CheckpointError::Truncated(_))));
+        assert!(matches!(g_params(&bytes), Err(CheckpointError::Truncated(_))));
     }
 
     #[test]
@@ -858,7 +810,7 @@ mod tests {
             bytes.extend_from_slice(&(u32::MAX as u64).to_le_bytes());
         }
         bytes.extend_from_slice(&[0u8; 64]); // some payload, far too little
-        assert!(matches!(from_bytes(&bytes), Err(CheckpointError::Truncated(_))));
+        assert!(matches!(g_params(&bytes), Err(CheckpointError::Truncated(_))));
     }
 
     #[test]
@@ -891,8 +843,9 @@ mod tests {
 
     #[test]
     fn v1_blob_loads_as_container() {
-        let ck = Checkpoint::from_bytes(&to_bytes(&snapshot())).unwrap();
-        assert_eq!(ck.get_tensors("params").unwrap(), snapshot());
+        let ck = Checkpoint::from_bytes(&v1_bytes(&snapshot())).unwrap();
+        assert_eq!(ck.section_names().collect::<Vec<_>>(), ["g/params"]);
+        assert_eq!(ck.get_tensors("g/params").unwrap(), snapshot());
     }
 
     #[test]
@@ -973,7 +926,10 @@ mod tests {
         let x = crate::init::uniform(&[2, 1, 4, 4], 0.0, 1.0, 3);
         let _ = net.forward(&x, true);
         let snap = net.export_params();
-        let restored = from_bytes(&to_bytes(&snap)).unwrap();
+        let mut ck = Checkpoint::new();
+        ck.put_tensors("g/params", &snap);
+        let restored = g_params(&ck.to_bytes()).unwrap();
+        assert_eq!(g_params(&v1_bytes(&snap)).unwrap(), restored);
         let mut net2 = Sequential::new();
         net2.push(Conv2d::new(1, 2, 3, 1, 1, 99));
         net2.push(BatchNorm2d::new(2));

@@ -1,8 +1,11 @@
-//! Corruption-robustness properties of the checkpoint decoders: corrupt,
-//! truncated, or outright hostile inputs must surface as a typed
-//! [`CheckpointError`] — never a panic, and never an allocation larger
-//! than the input justifies.
+//! Corruption-robustness properties of the checkpoint decoder, for v2
+//! containers and legacy v1 blobs alike: corrupt, truncated, or outright
+//! hostile inputs must surface as a typed [`CheckpointError`] — never a
+//! panic, and never an allocation larger than the input justifies.
 
+mod common;
+
+use common::v1_bytes;
 use ganopc_nn::checkpoint::{self, Checkpoint, CheckpointError};
 use ganopc_nn::Tensor;
 use proptest::prelude::*;
@@ -48,10 +51,10 @@ proptest! {
     /// Any truncation of a valid v1 blob is rejected with a typed error.
     #[test]
     fn v1_truncations_rejected(tensors in tensor_list(), frac in 0.0f64..1.0) {
-        let bytes = checkpoint::to_bytes(&tensors);
+        let bytes = v1_bytes(&tensors);
         let cut = (bytes.len() as f64 * frac) as usize;
         prop_assert!(cut < bytes.len());
-        prop_assert!(checkpoint::from_bytes(&bytes[..cut]).is_err());
+        prop_assert!(Checkpoint::from_bytes(&bytes[..cut]).is_err());
     }
 
     /// Any truncation of a valid v2 blob is rejected with a typed error.
@@ -73,10 +76,10 @@ proptest! {
         pos_frac in 0.0f64..1.0,
         bit in 0u8..8,
     ) {
-        let mut bytes = checkpoint::to_bytes(&tensors);
+        let mut bytes = v1_bytes(&tensors);
         let pos = (bytes.len() as f64 * pos_frac) as usize;
         bytes[pos] ^= 1 << bit;
-        let _ = checkpoint::from_bytes(&bytes);
+        let _ = Checkpoint::from_bytes(&bytes);
     }
 
     /// Every single-bit flip in a v2 blob is caught by the CRC-32 trailer
@@ -104,7 +107,6 @@ proptest! {
         bytes.extend_from_slice(b"GANOPCKP");
         bytes.extend_from_slice(&version.to_le_bytes());
         bytes.extend_from_slice(&body);
-        let _ = checkpoint::from_bytes(&bytes);
         if version == 2 {
             // A random body essentially cannot carry a valid CRC trailer.
             prop_assert!(Checkpoint::from_bytes(&bytes).is_err());
@@ -124,7 +126,7 @@ proptest! {
         v1.extend_from_slice(&1u32.to_le_bytes());
         v1.extend_from_slice(&count.to_le_bytes());
         prop_assert!(matches!(
-            checkpoint::from_bytes(&v1),
+            Checkpoint::from_bytes(&v1),
             Err(CheckpointError::Truncated(_))
         ));
 

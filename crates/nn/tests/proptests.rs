@@ -1,10 +1,13 @@
 //! Property-based tests for the neural-network substrate.
 
+mod common;
+
+use ganopc_nn::checkpoint::Checkpoint;
 use ganopc_nn::layers::{
     AvgPool2d, BatchNorm2d, Conv2d, ConvTranspose2d, Dropout, Flatten, Layer, LeakyRelu, Linear,
     Relu, Sequential, Sigmoid, Tanh,
 };
-use ganopc_nn::{checkpoint, loss, Tensor};
+use ganopc_nn::{loss, Tensor};
 use proptest::prelude::*;
 
 /// Something layers can be appended to: a [`Sequential`] or a plain list
@@ -107,13 +110,18 @@ proptest! {
         prop_assert_eq!(aa, 0.0);
     }
 
-    /// Checkpoints roundtrip arbitrary snapshots.
+    /// Checkpoints roundtrip arbitrary snapshots, and legacy v1 blobs
+    /// load them under the same section.
     #[test]
     fn checkpoint_roundtrip(values in prop::collection::vec(-1e3f32..1e3, 1..64)) {
         let len = values.len();
         let snap = vec![Tensor::from_vec(&[len], values)];
-        let restored = checkpoint::from_bytes(&checkpoint::to_bytes(&snap)).unwrap();
-        prop_assert_eq!(restored, snap);
+        let mut ck = Checkpoint::new();
+        ck.put_tensors("g/params", &snap);
+        for bytes in [ck.to_bytes(), common::v1_bytes(&snap)] {
+            let restored = Checkpoint::from_bytes(&bytes).unwrap().take_tensors("g/params").unwrap();
+            prop_assert_eq!(&restored, &snap);
+        }
     }
 
     /// A deconv that mirrors a conv is its adjoint for arbitrary inputs.

@@ -73,4 +73,16 @@ echo "$obs_out" | awk '
 echo "==> resume smoke test (checkpoint/restore bit-identity)"
 cargo run --release --example resume_training
 
+echo "==> CLI smoke (train, then evaluate from the --out and from the --state file)"
+# Generator snapshots and trainer states share the `g/params` section, so
+# `--ckpt` must accept either file.
+smoke="$(mktemp -d)"
+trap 'rm -rf "$smoke"' EXIT
+ganopc() { cargo run --release --quiet --bin ganopc -- "$@" >/dev/null; }
+ganopc train --net 32 --count 4 --iters 5 --pretrain 3 \
+    --out "$smoke/m.ckpt" --state "$smoke/s.ckpt"
+ganopc evaluate --net 32 --ckpt "$smoke/m.ckpt"
+ganopc evaluate --net 32 --ckpt "$smoke/s.ckpt"
+echo "evaluate loads both the generator and the trainer checkpoint"
+
 echo "All checks passed."

@@ -40,7 +40,8 @@ COMMANDS:
     opc          optimize a clip (synthesized, or loaded with --clip)
                    --flow ilt|mbopc|gan (default ilt)  --seed N  --size PX
                    --clip FILE (text layout; see geometry::textfmt)
-                   --ckpt FILE (gan flow: trained generator weights)
+                   --ckpt FILE (gan flow: trained generator weights, a
+                     train --out or --state file)
                    --outdir DIR (write target/mask/wafer PGMs)
     train        train a PGAN-OPC generator and save a checkpoint
                    --out FILE (default model.ckpt)  --count N (default 40)
@@ -59,7 +60,8 @@ COMMANDS:
                    --divergence-window N (supervisor: trailing steps for the
                      loss-explosion test, default 20)
     evaluate     run the GAN-OPC flow over the 10 benchmark clips
-                   --ckpt FILE (required)  --net PX (default 64)
+                   --ckpt FILE (required; a train --out or --state file)
+                   --net PX (default 64)
                    --size PX (default 128)
     suite        print the regenerated ICCAD-2013-like benchmark suite
     help         show this text

@@ -1,7 +1,7 @@
 //! Interoperability integration tests: text layouts, polygons, MB-OPC,
 //! checkpoints and the flow guards, exercised across crates.
 
-use gan_opc::core::{FlowConfig, GanOpcFlow, Generator};
+use gan_opc::core::{Discriminator, FlowConfig, GanOpcFlow, GanTrainer, Generator, TrainConfig};
 use gan_opc::geometry::polygon::Polygon;
 use gan_opc::geometry::textfmt;
 use gan_opc::geometry::{Layout, Rect};
@@ -119,6 +119,14 @@ fn generator_checkpoint_file_roundtrip() {
     // Mismatched architectures are rejected.
     let mut wrong = Generator::new(16, 4, 0);
     assert!(wrong.load(&path).is_err());
+
+    // A trainer state carries the generator under the same section.
+    let mut trainer = GanTrainer::new(original, Discriminator::new(32, 4, 78), TrainConfig::fast());
+    trainer.save_checkpoint(&path).unwrap();
+    let mut from_state = Generator::new(32, 4, 124);
+    from_state.load(&path).unwrap();
+    let (mut trained, _) = trainer.into_networks();
+    assert_eq!(from_state.forward(&x, false), trained.forward(&x, false));
     std::fs::remove_file(&path).unwrap();
 }
 
