@@ -2,7 +2,7 @@
 //!
 //! Eight trivial jobs at four threads measure pure hand-off cost — the work
 //! itself is a few nanoseconds, so the timings are dominated by how the jobs
-//! reach the workers. `crew_*` rows go through the persistent work-crew
+//! reach the workers. The `crew_*` row goes through the persistent work-crew
 //! (parked workers, shared job descriptor, atomic chunk claims); the
 //! `scoped_spawn` row replicates the pre-crew pool, which spawned and joined
 //! fresh scoped threads on every call.
@@ -51,7 +51,7 @@ where
 
 fn bench_pool_dispatch(c: &mut Criterion) {
     pool::set_max_threads(Some(4));
-    // Spawn the crew before timing so the crew rows measure steady-state
+    // Spawn the crew before timing so the crew row measures steady-state
     // dispatch, not one-time thread creation.
     pool::run_chunks(8, |r| {
         black_box(r.len());
@@ -59,12 +59,6 @@ fn bench_pool_dispatch(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("pool_dispatch");
     group.sample_size(60);
-    group.bench_function("crew_run_8jobs_4t", |b| {
-        b.iter(|| {
-            let jobs: Vec<usize> = (0..8).collect();
-            black_box(pool::run(jobs, |j| j.wrapping_mul(3)))
-        })
-    });
     group.bench_function("crew_run_chunks_8jobs_4t", |b| {
         b.iter(|| {
             let acc = AtomicUsize::new(0);

@@ -10,7 +10,7 @@
 //! run through it. None of them transposes a whole frame (a row tile is
 //! transposed only as it is copied in and out) or permutes a sequence in
 //! place: the copy that fills a tile writes each element straight to its
-//! digit-reversed row ([`Fft1d::slots`]).
+//! digit-reversed row (`Fft1d::slots`).
 //!
 //! The loops over lanes live in small `#[inline(never)]` functions that take
 //! each plane row as its own slice argument. That is how the compiler learns
@@ -164,7 +164,7 @@ fn interleave(re: &[f32], im: &[f32], dst: &mut [Complex]) {
 /// else — and precomputes everything the transform needs:
 ///
 /// * the mixed-radix digit-reversal permutation, as the plane row each input
-///   element is gathered into ([`Fft1d::slots`]);
+///   element is gathered into (`Fft1d::slots`);
 /// * *direction-specific* twiddle tables (forward and conjugated inverse),
 ///   so the butterfly inner loops carry no per-element direction branch.
 ///

@@ -103,25 +103,6 @@ impl Fft2d {
         self.col_plan.columns(data, w, dir, scratch);
         Ok(())
     }
-
-    /// Convenience: forward-transforms a real-valued image into a fresh
-    /// complex spectrum buffer.
-    ///
-    /// The litho hot path uses [`crate::RealFft2d`] and its packed
-    /// half-spectrum instead; this full-spectrum variant remains for tests
-    /// and reference computations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::SizeMismatch`] when `real.len() != height * width`.
-    pub fn forward_real(&self, real: &[f32]) -> Result<Vec<Complex>, FftError> {
-        if real.len() != self.len() {
-            return Err(FftError::SizeMismatch { expected: self.len(), actual: real.len() });
-        }
-        let mut buf: Vec<Complex> = real.iter().map(|&r| Complex::from_real(r)).collect();
-        self.transform(&mut buf, Direction::Forward)?;
-        Ok(buf)
-    }
 }
 
 #[cfg(test)]
@@ -217,24 +198,12 @@ mod tests {
     }
 
     #[test]
-    fn forward_real_matches_complex_path() {
-        let plan = Fft2d::new(4, 4).unwrap();
-        let real: Vec<f32> = (0..16).map(|i| (i as f32 * 0.37).sin()).collect();
-        let spec = plan.forward_real(&real).unwrap();
-        let mut manual: Vec<Complex> = real.iter().map(|&r| Complex::from_real(r)).collect();
-        plan.transform(&mut manual, Direction::Forward).unwrap();
-        assert_eq!(spec.len(), manual.len());
-        for (a, b) in spec.iter().zip(&manual) {
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
     fn real_input_spectrum_is_hermitian() {
         let (h, w) = (8usize, 8usize);
         let plan = Fft2d::new(h, w).unwrap();
         let real: Vec<f32> = (0..h * w).map(|i| ((i * 7 % 13) as f32) / 13.0).collect();
-        let spec = plan.forward_real(&real).unwrap();
+        let mut spec: Vec<Complex> = real.iter().map(|&r| Complex::from_real(r)).collect();
+        plan.transform(&mut spec, Direction::Forward).unwrap();
         for y in 0..h {
             for x in 0..w {
                 let a = spec[y * w + x];

@@ -1,7 +1,7 @@
 //! Planned real-FFT spectral engine for the GAN-OPC lithography stack.
 //!
 //! Every optical computation in the workspace — Hopkins/SOCS aerial images
-//! ([`ganopc-litho`]), inverse-lithography gradients ([`ganopc-ilt`]) and the
+//! (`ganopc-litho`), inverse-lithography gradients (`ganopc-ilt`) and the
 //! lithography-guided pre-training of the GAN generator — reduces to cyclic
 //! convolutions of a mask field with a set of optical kernels. This crate
 //! provides the minimal, dependency-free machinery for those convolutions:

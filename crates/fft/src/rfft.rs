@@ -425,7 +425,8 @@ mod tests {
             let mut half = vec![Complex::ZERO; plan.spectrum_len()];
             let mut scratch = Vec::new();
             plan.forward(&img, &mut half, &mut scratch).unwrap();
-            let reference = full.forward_real(&img).unwrap();
+            let mut reference: Vec<Complex> = img.iter().map(|&r| Complex::from_real(r)).collect();
+            full.transform(&mut reference, Direction::Forward).unwrap();
             let hw = plan.half_width();
             for ky in 0..h {
                 for kx in 0..hw {

@@ -13,33 +13,7 @@
 //! that vanish (at nominal focus most SOCS kernels are near-pure real or
 //! near-pure imaginary) are dropped, halving both storage and work.
 
-use crate::{Complex, Direction, Fft2d, FftError, RealFft2d};
-
-/// Multiplies two spectra element-wise into `a` (`a[i] *= b[i]`).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn mul_assign(a: &mut [Complex], b: &[Complex]) {
-    assert_eq!(a.len(), b.len(), "spectrum length mismatch");
-    for (x, y) in a.iter_mut().zip(b) {
-        *x *= *y;
-    }
-}
-
-/// Multiplies `a` element-wise by the conjugate of `b` (`a[i] *= conj(b[i])`),
-/// the frequency-domain form of cyclic *correlation* used in the ILT
-/// gradient (Eq. (14) of the paper, the `⊗ H*` terms).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn mul_conj_assign(a: &mut [Complex], b: &[Complex]) {
-    assert_eq!(a.len(), b.len(), "spectrum length mismatch");
-    for (x, y) in a.iter_mut().zip(b) {
-        *x *= y.conj();
-    }
-}
+use crate::{Complex, FftError, RealFft2d};
 
 /// Element-wise product into a separate output: `out[i] = a[i] * b[i]`.
 ///
@@ -72,33 +46,6 @@ pub fn mul_conj_add_into(out: &mut [Complex], a: &[Complex], b: &[Complex]) {
     for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
         *o = o.mul_add(*x, y.conj());
     }
-}
-
-/// Expands a packed `height × (width/2+1)` half-spectrum of a real field to
-/// the full `height × width` spectrum via Hermitian symmetry
-/// `X[ky, kx] = conj(X[(h-ky)%h, (w-kx)%w])`.
-///
-/// Reference path for tests and the complex-field convolution helper; the
-/// hot paths never expand.
-///
-/// # Panics
-///
-/// Panics if `half.len() != height * (width/2 + 1)`.
-pub fn expand_half(height: usize, width: usize, half: &[Complex]) -> Vec<Complex> {
-    let hw = width / 2 + 1;
-    assert_eq!(half.len(), height * hw, "half-spectrum length mismatch");
-    let mut full = vec![Complex::ZERO; height * width];
-    for ky in 0..height {
-        for kx in 0..hw {
-            full[ky * width + kx] = half[ky * hw + kx];
-        }
-        for kx in hw..width {
-            let sy = (height - ky) % height;
-            let sx = width - kx;
-            full[ky * width + kx] = half[sy * hw + sx].conj();
-        }
-    }
-    full
 }
 
 /// Embeds a small centered kernel into a `height × width` frame so that the
@@ -227,124 +174,43 @@ impl KernelSpectrum {
     pub fn im_spectrum(&self) -> Option<&[Complex]> {
         self.im.as_deref()
     }
-
-    /// Reconstructs the full `height × width` complex spectrum
-    /// `H = R + i·I` (reference/test path; allocates).
-    pub fn full_spectrum(&self) -> Vec<Complex> {
-        let mut full = vec![Complex::ZERO; self.height * self.width];
-        if let Some(re) = &self.re {
-            for (f, r) in full.iter_mut().zip(expand_half(self.height, self.width, re)) {
-                *f += r;
-            }
-        }
-        if let Some(im) = &self.im {
-            for (f, i) in full.iter_mut().zip(expand_half(self.height, self.width, im)) {
-                *f += Complex::I * i;
-            }
-        }
-        full
-    }
-
-    /// Sum of `|H|²` over the full spectrum — useful for energy diagnostics.
-    ///
-    /// Computed from the half-spectra: the Hermitian cross term between the
-    /// component spectra cancels over the full grid, so `Σ|H|² = Σ|R|² +
-    /// Σ|I|²`, with interior half-spectrum columns counted twice for their
-    /// mirrored twins.
-    pub fn energy(&self) -> f32 {
-        let hw = self.half_width;
-        let nyquist = self.width / 2;
-        let mut total = 0.0f32;
-        for half in [&self.re, &self.im].into_iter().flatten() {
-            for row in half.chunks_exact(hw) {
-                for (kx, c) in row.iter().enumerate() {
-                    let weight = if kx == 0 || kx == nyquist { 1.0 } else { 2.0 };
-                    total += weight * c.norm_sqr();
-                }
-            }
-        }
-        total
-    }
-}
-
-/// Cyclically convolves a real field with a precomputed kernel spectrum,
-/// returning the (complex) filtered field `M ⊗ h`.
-///
-/// This is the building block of the SOCS aerial-image model
-/// `I = Σ_k w_k |M ⊗ h_k|²`. It is the reference implementation: the litho
-/// model inlines the same math against arena-owned buffers.
-///
-/// # Errors
-///
-/// Returns [`FftError::SizeMismatch`] if `field.len()` or the kernel frame
-/// does not match the plan.
-pub fn convolve_real(
-    plan: &RealFft2d,
-    field: &[f32],
-    kernel: &KernelSpectrum,
-) -> Result<Vec<Complex>, FftError> {
-    if kernel.height != plan.height() || kernel.width != plan.width() {
-        return Err(FftError::SizeMismatch {
-            expected: plan.real_len(),
-            actual: kernel.height * kernel.width,
-        });
-    }
-    let mut scratch = Vec::new();
-    let mut mask_half = vec![Complex::ZERO; plan.spectrum_len()];
-    plan.forward(field, &mut mask_half, &mut scratch)?;
-    let mut out = vec![Complex::ZERO; plan.real_len()];
-    let mut prod = vec![Complex::ZERO; plan.spectrum_len()];
-    let mut real = vec![0.0f32; plan.real_len()];
-    if let Some(re) = kernel.re_spectrum() {
-        mul_into(&mut prod, &mask_half, re);
-        plan.inverse(&mut prod, &mut real, &mut scratch)?;
-        for (o, &p) in out.iter_mut().zip(&real) {
-            o.re = p;
-        }
-    }
-    if let Some(im) = kernel.im_spectrum() {
-        mul_into(&mut prod, &mask_half, im);
-        plan.inverse(&mut prod, &mut real, &mut scratch)?;
-        for (o, &q) in out.iter_mut().zip(&real) {
-            o.im = q;
-        }
-    }
-    Ok(out)
-}
-
-/// Cyclically convolves a *complex* field: `out = IFFT(FFT(field) ⊙ K)`
-/// where `K` is conjugated when `conjugate_kernel` is set (turning
-/// convolution into correlation). Expands the kernel's half-spectra to the
-/// full grid — a reference/test path, not used by the litho hot loop.
-///
-/// # Errors
-///
-/// Returns [`FftError::SizeMismatch`] on any dimension disagreement.
-pub fn convolve_complex(
-    plan: &Fft2d,
-    field: &[Complex],
-    kernel: &KernelSpectrum,
-    conjugate_kernel: bool,
-) -> Result<Vec<Complex>, FftError> {
-    let n = kernel.height * kernel.width;
-    if field.len() != n || plan.len() != n {
-        return Err(FftError::SizeMismatch { expected: n, actual: field.len() });
-    }
-    let full = kernel.full_spectrum();
-    let mut spec = field.to_vec();
-    plan.transform(&mut spec, Direction::Forward)?;
-    if conjugate_kernel {
-        mul_conj_assign(&mut spec, &full);
-    } else {
-        mul_assign(&mut spec, &full);
-    }
-    plan.transform(&mut spec, Direction::Inverse)?;
-    Ok(spec)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Filters a real field through `kernel`'s re/im half-spectra the way
+    /// the litho model does: one r2c, a `mul_into` (convolution) or a
+    /// zeroed `mul_conj_add_into` (correlation) per stored component, and
+    /// one c2r each. Correlation uses `conj(H) = conj(R) − i·conj(I)`.
+    fn filter_real(field: &[f32], kernel: &KernelSpectrum, correlate: bool) -> Vec<Complex> {
+        let plan = RealFft2d::new(kernel.height(), kernel.width()).unwrap();
+        let mut scratch = Vec::new();
+        let mut field_half = vec![Complex::ZERO; plan.spectrum_len()];
+        plan.forward(field, &mut field_half, &mut scratch).unwrap();
+        let mut out = vec![Complex::ZERO; plan.real_len()];
+        let mut prod = vec![Complex::ZERO; plan.spectrum_len()];
+        let mut real = vec![0.0f32; plan.real_len()];
+        for (component, is_im) in [(kernel.re_spectrum(), false), (kernel.im_spectrum(), true)] {
+            let Some(spectrum) = component else { continue };
+            if correlate {
+                prod.fill(Complex::ZERO);
+                mul_conj_add_into(&mut prod, &field_half, spectrum);
+            } else {
+                mul_into(&mut prod, &field_half, spectrum);
+            }
+            plan.inverse(&mut prod, &mut real, &mut scratch).unwrap();
+            for (o, &v) in out.iter_mut().zip(&real) {
+                match (is_im, correlate) {
+                    (false, _) => o.re = v,
+                    (true, false) => o.im = v,
+                    (true, true) => o.im = -v,
+                }
+            }
+        }
+        out
+    }
 
     /// Direct O(N²·K²) cyclic convolution reference.
     fn naive_cyclic_convolve(
@@ -384,9 +250,8 @@ mod tests {
         let spec = KernelSpectrum::new(&kernel, 3, h, w).unwrap();
         assert!(spec.re_spectrum().is_some());
         assert!(spec.im_spectrum().is_none(), "real kernel must drop its imaginary half");
-        let plan = RealFft2d::new(h, w).unwrap();
         let field: Vec<f32> = (0..64).map(|i| (i as f32 * 0.2).sin()).collect();
-        let out = convolve_real(&plan, &field, &spec).unwrap();
+        let out = filter_real(&field, &spec, false);
         for (o, f) in out.iter().zip(&field) {
             assert!((o.re - f).abs() < 1e-4 && o.im.abs() < 1e-4);
         }
@@ -401,29 +266,11 @@ mod tests {
             .collect();
         let field: Vec<f32> = (0..h * w).map(|i| ((i * 5 % 11) as f32) / 11.0).collect();
         let spec = KernelSpectrum::new(&kernel, ksize, h, w).unwrap();
-        let plan = RealFft2d::new(h, w).unwrap();
-        let fast = convolve_real(&plan, &field, &spec).unwrap();
+        let fast = filter_real(&field, &spec, false);
         let slow = naive_cyclic_convolve(&field, h, w, &kernel, ksize);
         for (a, b) in fast.iter().zip(&slow) {
             assert!((a.re - b.re).abs() < 1e-3, "{a} vs {b}");
             assert!((a.im - b.im).abs() < 1e-3, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn full_spectrum_matches_complex_fft_of_embedded_kernel() {
-        let (h, w) = (8usize, 16usize);
-        let ksize = 3;
-        let kernel: Vec<Complex> = (0..9)
-            .map(|i| Complex::new((i as f32 * 0.7).cos(), (i as f32 * 0.4).sin() * 0.6))
-            .collect();
-        let spec = KernelSpectrum::new(&kernel, ksize, h, w).unwrap();
-        let got = spec.full_spectrum();
-        let plan = Fft2d::new(h, w).unwrap();
-        let mut reference = embed_centered_kernel(&kernel, ksize, h, w);
-        plan.transform(&mut reference, Direction::Forward).unwrap();
-        for (g, r) in got.iter().zip(&reference) {
-            assert!((g.re - r.re).abs() < 1e-3 && (g.im - r.im).abs() < 1e-3, "{g} vs {r}");
         }
     }
 
@@ -435,12 +282,11 @@ mod tests {
         let mut kernel = vec![Complex::ZERO; 9];
         kernel[0] = Complex::from_real(1.0); // top-left tap of a 3x3 kernel
         let spec = KernelSpectrum::new(&kernel, 3, h, w).unwrap();
-        let plan = Fft2d::new(h, w).unwrap();
-        let mut field = vec![Complex::ZERO; h * w];
-        field[3 * w + 3] = Complex::ONE;
+        let mut field = vec![0.0f32; h * w];
+        field[3 * w + 3] = 1.0;
 
-        let conv = convolve_complex(&plan, &field, &spec, false).unwrap();
-        let corr = convolve_complex(&plan, &field, &spec, true).unwrap();
+        let conv = filter_real(&field, &spec, false);
+        let corr = filter_real(&field, &spec, true);
         // Convolution shifts the impulse by (-1,-1); correlation by (+1,+1).
         let peak_at = |v: &[Complex]| {
             let (idx, _) = v
@@ -452,6 +298,22 @@ mod tests {
         };
         assert_eq!(peak_at(&conv), (2, 2));
         assert_eq!(peak_at(&corr), (4, 4));
+
+        // With a complex kernel (both half-spectra stored), correlation is
+        // convolution with the conjugated, point-mirrored kernel.
+        let (h, w, ksize) = (16, 8, 5);
+        let kernel: Vec<Complex> = (0..ksize * ksize)
+            .map(|i| Complex::new((i as f32 * 0.31).sin(), (i as f32 * 0.17).cos() * 0.2))
+            .collect();
+        let mirrored: Vec<Complex> = kernel.iter().rev().map(|c| c.conj()).collect();
+        let field: Vec<f32> = (0..h * w).map(|i| ((i * 5 % 11) as f32) / 11.0).collect();
+        let spec = KernelSpectrum::new(&kernel, ksize, h, w).unwrap();
+        assert!(spec.im_spectrum().is_some());
+        let corr = filter_real(&field, &spec, true);
+        let slow = naive_cyclic_convolve(&field, h, w, &mirrored, ksize);
+        for (a, b) in corr.iter().zip(&slow) {
+            assert!((a.re - b.re).abs() < 1e-3 && (a.im - b.im).abs() < 1e-3, "{a} vs {b}");
+        }
     }
 
     #[test]
@@ -471,46 +333,27 @@ mod tests {
     }
 
     #[test]
-    fn expand_half_reconstructs_full_spectrum() {
-        let (h, w) = (8usize, 8usize);
-        let plan = RealFft2d::new(h, w).unwrap();
-        let full_plan = Fft2d::new(h, w).unwrap();
-        let field: Vec<f32> = (0..h * w).map(|i| ((i * 11 % 17) as f32) / 17.0 - 0.4).collect();
-        let mut half = vec![Complex::ZERO; plan.spectrum_len()];
-        let mut scratch = Vec::new();
-        plan.forward(&field, &mut half, &mut scratch).unwrap();
-        let expanded = expand_half(h, w, &half);
-        let reference = full_plan.forward_real(&field).unwrap();
-        for (a, b) in expanded.iter().zip(&reference) {
-            assert!((a.re - b.re).abs() < 1e-3 && (a.im - b.im).abs() < 1e-3);
-        }
-    }
-
-    #[test]
-    fn mul_conj_assign_conjugates_rhs() {
-        let mut a = vec![Complex::new(1.0, 1.0)];
-        let b = vec![Complex::new(0.0, 2.0)];
-        mul_conj_assign(&mut a, &b);
+    fn mul_conj_add_into_conjugates_rhs() {
+        let mut out = vec![Complex::ZERO];
+        mul_conj_add_into(&mut out, &[Complex::new(1.0, 1.0)], &[Complex::new(0.0, 2.0)]);
         // (1+i) * conj(2i) = (1+i)(-2i) = -2i - 2i² = 2 - 2i
-        assert_eq!(a[0], Complex::new(2.0, -2.0));
+        assert_eq!(out[0], Complex::new(2.0, -2.0));
     }
 
     #[test]
-    fn out_of_place_products_match_in_place() {
+    fn out_of_place_products_match_scalar_products() {
         let a: Vec<Complex> =
             (0..16).map(|i| Complex::new(i as f32 * 0.3, -1.0 + i as f32)).collect();
         let b: Vec<Complex> =
             (0..16).map(|i| Complex::new(1.5 - i as f32, i as f32 * 0.2)).collect();
         let mut out = vec![Complex::ZERO; 16];
         mul_into(&mut out, &a, &b);
-        let mut reference = a.clone();
-        mul_assign(&mut reference, &b);
+        let reference: Vec<Complex> = a.iter().zip(&b).map(|(x, y)| *x * *y).collect();
         assert_eq!(out, reference);
 
         // Accumulating into zero gives the conjugated product (up to the
         // fused multiply-add's rounding); accumulating it again doubles it.
-        let mut reference = a.clone();
-        mul_conj_assign(&mut reference, &b);
+        let reference: Vec<Complex> = a.iter().zip(&b).map(|(x, y)| *x * y.conj()).collect();
         let mut out = vec![Complex::ZERO; 16];
         for scale in [1.0, 2.0] {
             mul_conj_add_into(&mut out, &a, &b);
@@ -521,15 +364,12 @@ mod tests {
     }
 
     #[test]
-    fn kernel_spectrum_energy_positive() {
+    fn kernel_spectrum_reports_frame_dims() {
         let kernel = vec![Complex::from_real(0.5); 9];
         let spec = KernelSpectrum::new(&kernel, 3, 16, 16).unwrap();
-        assert!(spec.energy() > 0.0);
         assert_eq!(spec.height(), 16);
         assert_eq!(spec.width(), 16);
         assert_eq!(spec.half_width(), 9);
-        // Energy computed from the packed form must match the full spectrum.
-        let full: f32 = spec.full_spectrum().iter().map(|c| c.norm_sqr()).sum();
-        assert!((spec.energy() - full).abs() < 1e-2 * full.max(1.0));
+        assert_eq!(spec.re_spectrum().map(<[Complex]>::len), Some(16 * 9));
     }
 }

@@ -2,13 +2,11 @@
 //!
 //! GAN-OPC's adversarial objective is notoriously unstable — a bad basin
 //! or an exploding update can waste the whole run. The supervisor wraps
-//! [`GanTrainer`] with three detectors and one recovery policy:
+//! [`GanTrainer`] with two detectors and one recovery policy:
 //!
 //! * **non-finite loss** — any NaN/∞ in a step's reported losses;
 //! * **loss explosion** — the L2 loss jumping past `explosion_factor` ×
-//!   its mean over the trailing `divergence_window` steps;
-//! * **validation stall** — `stall_patience` consecutive validation
-//!   checks without improving the best litho error (0 disables).
+//!   its mean over the trailing `divergence_window` steps.
 //!
 //! On a trip, the trainer is rolled back to the newest loadable entry of
 //! a bounded [`CheckpointRing`], the learning rates are backed off by the
@@ -27,7 +25,6 @@
 
 use crate::ring::CheckpointRing;
 use crate::train::StepStats;
-use crate::validate::ValidationReport;
 use crate::{GanOpcError, GanTrainer, OpcDataset};
 use ganopc_obs as obs;
 use std::collections::VecDeque;
@@ -51,9 +48,6 @@ pub struct SupervisorConfig {
     pub explosion_factor: f64,
     /// Learning-rate multiplier applied per retry (1.0 = no backoff).
     pub lr_backoff: f32,
-    /// Consecutive non-improving validation checks before a stall trip;
-    /// 0 disables the watchdog.
-    pub stall_patience: usize,
 }
 
 impl Default for SupervisorConfig {
@@ -65,7 +59,6 @@ impl Default for SupervisorConfig {
             divergence_window: 20,
             explosion_factor: 4.0,
             lr_backoff: 0.5,
-            stall_patience: 0,
         }
     }
 }
@@ -106,11 +99,6 @@ pub enum DivergenceReason {
         /// Observed loss / window mean at the trip.
         ratio: f64,
     },
-    /// The validation watchdog saw no improvement for too long.
-    ValidationStall {
-        /// Consecutive non-improving checks at the trip.
-        checks: usize,
-    },
 }
 
 impl fmt::Display for DivergenceReason {
@@ -119,9 +107,6 @@ impl fmt::Display for DivergenceReason {
             DivergenceReason::NonFiniteLoss => write!(f, "non-finite loss"),
             DivergenceReason::LossExplosion { ratio } => {
                 write!(f, "loss explosion ({ratio:.2}x the window mean)")
-            }
-            DivergenceReason::ValidationStall { checks } => {
-                write!(f, "validation stalled for {checks} checks")
             }
         }
     }
@@ -222,7 +207,7 @@ impl TrainSupervisor {
         Ok(TrainSupervisor { config, ring, monitor, lr_scale: 1.0, retries_used: 0 })
     }
 
-    /// The checkpoint ring (e.g. to locate `best.ckpt`).
+    /// The checkpoint ring (e.g. to list the rollback points it holds).
     pub fn ring(&self) -> &CheckpointRing {
         &self.ring
     }
@@ -274,88 +259,6 @@ impl TrainSupervisor {
             }
         }
         Ok(stats)
-    }
-
-    /// Like [`TrainSupervisor::run`] with periodic hold-out validation:
-    /// every `check_every` steps the generator is scored on `validation`;
-    /// improvements are persisted to the ring's rotation-exempt
-    /// `best.ckpt`, and `stall_patience` consecutive non-improving checks
-    /// trip the watchdog (rollback + LR backoff, same budget as the loss
-    /// detectors). Returns the surviving stats and the best report.
-    ///
-    /// # Errors
-    ///
-    /// As [`TrainSupervisor::run`], plus validation failures.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with_validation(
-        &mut self,
-        trainer: &mut GanTrainer,
-        dataset: &OpcDataset,
-        validation: &OpcDataset,
-        model: &ganopc_litho::LithoModel,
-        check_every: usize,
-        steps: usize,
-    ) -> Result<(Vec<StepStats>, ValidationReport), GanOpcError> {
-        let check_every = check_every.max(1);
-        let target = trainer.step() + steps;
-        let mut stats: Vec<StepStats> = Vec::with_capacity(steps);
-        let mut best: Option<ValidationReport> = None;
-        let mut stalled_checks = 0usize;
-        self.checkpoint(trainer);
-        while trainer.step() < target {
-            let step_stats = trainer.train_for(dataset, 1);
-            let Some(&s) = step_stats.first() else {
-                break;
-            };
-            if let Some(reason) = self.monitor.observe(&s) {
-                self.handle_trip(trainer, s.step, reason)?;
-                let resumed = trainer.step();
-                stats.retain(|st| st.step <= resumed);
-                continue;
-            }
-            stats.push(s);
-            if s.step % self.config.checkpoint_every == 0 {
-                self.checkpoint(trainer);
-            }
-            if s.step % check_every == 0 || trainer.step() == target {
-                let report = crate::validate::evaluate_generator(
-                    trainer.generator_mut(),
-                    model,
-                    validation,
-                )?;
-                let improved = best.map(|b| report.litho_error < b.litho_error).unwrap_or(true);
-                if improved {
-                    best = Some(report);
-                    stalled_checks = 0;
-                    if self.ring.save_best(&trainer.to_checkpoint()).is_err() {
-                        obs::counter_add(obs::Counter::SupervisorCkptFailures, 1);
-                    }
-                } else {
-                    stalled_checks += 1;
-                    if self.config.stall_patience > 0
-                        && stalled_checks >= self.config.stall_patience
-                    {
-                        self.handle_trip(
-                            trainer,
-                            s.step,
-                            DivergenceReason::ValidationStall { checks: stalled_checks },
-                        )?;
-                        stalled_checks = 0;
-                        let resumed = trainer.step();
-                        stats.retain(|st| st.step <= resumed);
-                    }
-                }
-            }
-        }
-        let report = match best {
-            Some(r) => r,
-            // Zero-length budget: score the current weights so the caller
-            // always gets a report.
-            None => {
-                crate::validate::evaluate_generator(trainer.generator_mut(), model, validation)?
-            }
-        };
-        Ok((stats, report))
     }
 
     /// Best-effort ring save: a failed checkpoint (a full disk, say) must

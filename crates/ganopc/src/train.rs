@@ -16,7 +16,6 @@
 //! `BCE(D(Z_t, M), 1)` exactly as in Eq. (7).
 
 use crate::dataset::EpochStream;
-use crate::validate::ValidationReport;
 use crate::{Discriminator, GanOpcError, Generator, OpcDataset};
 use ganopc_fault as fault;
 use ganopc_nn::checkpoint::Checkpoint;
@@ -169,19 +168,6 @@ pub struct StepStats {
     pub d_fake: f64,
 }
 
-/// The full state captured at the best validation checkpoint: restoring
-/// only the generator weights (the historical behaviour) leaves both
-/// optimizers' momentum — and the discriminator — aimed at the *discarded*
-/// final-step weights, so any continued training immediately takes steps
-/// with stale velocity. Weights and optimizer state travel together.
-struct BestSnapshot {
-    report: ValidationReport,
-    generator: Vec<Tensor>,
-    discriminator: Vec<Tensor>,
-    opt_g: Vec<Tensor>,
-    opt_d: Vec<Tensor>,
-}
-
 /// Persistent per-step work buffers: generated masks, discriminator
 /// probabilities and the two gradient tensors every [`GanTrainer::train_step`]
 /// needs. Sized on the first step and reused, so steady-state training
@@ -209,8 +195,7 @@ impl TrainScratch {
 /// The trainer is fully resumable: [`GanTrainer::save_checkpoint`] persists
 /// every piece of state a training run accumulates — both networks
 /// (weights *and* batch-norm statistics), both optimizers' velocity, the
-/// step counter, the shuffle-stream position, and the best-validation
-/// snapshot — and [`GanTrainer::resume`] reconstructs a trainer that
+/// step counter and the shuffle-stream position — and [`GanTrainer::resume`] reconstructs a trainer that
 /// continues bit-identically to an uninterrupted run.
 pub struct GanTrainer {
     generator: Generator,
@@ -222,7 +207,6 @@ pub struct GanTrainer {
     /// Shuffle-stream position: epoch index and intra-epoch cursor.
     epoch: u64,
     cursor: usize,
-    best: Option<BestSnapshot>,
     scratch: TrainScratch,
 }
 
@@ -256,7 +240,6 @@ impl GanTrainer {
             step: 0,
             epoch: 0,
             cursor: 0,
-            best: None,
             scratch: TrainScratch::new(),
         }
     }
@@ -269,11 +252,6 @@ impl GanTrainer {
     /// Steps completed so far (across saves/resumes).
     pub fn step(&self) -> usize {
         self.step
-    }
-
-    /// The best validation report seen so far, if validation ran.
-    pub fn best_report(&self) -> Option<&ValidationReport> {
-        self.best.as_ref().map(|b| &b.report)
     }
 
     /// Borrow of the generator (e.g. to export weights mid-training).
@@ -421,93 +399,6 @@ impl GanTrainer {
         (self.opt_g.learning_rate(), self.opt_d.learning_rate())
     }
 
-    /// Trains with periodic hold-out validation, keeping the generator
-    /// weights from the best validation checkpoint (early-stopping style).
-    ///
-    /// Every `check_every` steps the generator is scored on `validation`
-    /// with [`crate::validate::evaluate_generator`]; after the full budget
-    /// the weights of the best checkpoint are restored. Returns the
-    /// per-step statistics and the best validation report.
-    ///
-    /// # Errors
-    ///
-    /// Propagates validation failures (resolution mismatches).
-    pub fn train_with_validation(
-        &mut self,
-        dataset: &OpcDataset,
-        validation: &OpcDataset,
-        model: &ganopc_litho::LithoModel,
-        check_every: usize,
-    ) -> Result<(Vec<StepStats>, ValidationReport), GanOpcError> {
-        let check_every = check_every.max(1);
-        let remaining = self.config.iterations.saturating_sub(self.step);
-        let mut stats = Vec::with_capacity(remaining);
-        let mut stream =
-            EpochStream::at_position(dataset, self.config.seed, self.epoch, self.cursor);
-        for _ in 0..remaining {
-            let indices = stream.next_batch(dataset, self.config.batch_size);
-            let (targets, masks) = dataset.batch(&indices);
-            stats.push(self.train_step(&targets, &masks));
-            (self.epoch, self.cursor) = stream.position();
-            if self.step.is_multiple_of(check_every) || self.step == self.config.iterations {
-                self.validation_checkpoint(model, validation)?;
-            }
-        }
-        if self.best.is_none() {
-            // Resumed past the end (or a zero-length budget): score the
-            // current weights so there is always a best checkpoint.
-            self.validation_checkpoint(model, validation)?;
-        }
-        // Restore the best checkpoint as one unit: generator *and*
-        // discriminator weights *and* both optimizers' velocity, so
-        // continued training does not take steps with momentum aimed at
-        // the discarded final-step weights.
-        // PANIC: the is_none() branch above just recorded a checkpoint.
-        let best = self.best.as_ref().expect("validation checkpoint recorded above");
-        let report = best.report;
-        self.generator.import_params(&best.generator)?;
-        self.discriminator.import_params(&best.discriminator)?;
-        self.opt_g.import_state(best.opt_g.clone());
-        self.opt_d.import_state(best.opt_d.clone());
-        Ok((stats, report))
-    }
-
-    /// Scores the generator on the validation set and snapshots the full
-    /// training state if this is the best checkpoint so far.
-    fn validation_checkpoint(
-        &mut self,
-        model: &ganopc_litho::LithoModel,
-        validation: &OpcDataset,
-    ) -> Result<(), GanOpcError> {
-        let _sp = obs::span(obs::Span::TrainValidation);
-        let report = crate::validate::evaluate_generator(&mut self.generator, model, validation)?;
-        let better =
-            self.best.as_ref().map(|b| report.litho_error < b.report.litho_error).unwrap_or(true);
-        if better {
-            // Overwrite the previous snapshot's buffers in place instead of
-            // cloning four full parameter/optimizer sets per improvement.
-            match &mut self.best {
-                Some(b) => {
-                    b.report = report;
-                    self.generator.export_params_into(&mut b.generator);
-                    self.discriminator.export_params_into(&mut b.discriminator);
-                    self.opt_g.export_state_into(&mut b.opt_g);
-                    self.opt_d.export_state_into(&mut b.opt_d);
-                }
-                None => {
-                    self.best = Some(BestSnapshot {
-                        report,
-                        generator: self.generator.export_params(),
-                        discriminator: self.discriminator.export_params(),
-                        opt_g: self.opt_g.export_state(),
-                        opt_d: self.opt_d.export_state(),
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Trains until `config.iterations` total steps have run (a fresh
     /// trainer runs all of them; a resumed one only the remainder),
     /// returning the per-step statistics (the Fig. 7 curve).
@@ -556,13 +447,6 @@ impl GanTrainer {
         ck.put_u64("progress/step", self.step as u64);
         ck.put_u64("progress/epoch", self.epoch);
         ck.put_u64("progress/cursor", self.cursor as u64);
-        if let Some(best) = &self.best {
-            best.report.put_into(&mut ck, "best/report");
-            ck.put_tensors("best/g_params", &best.generator);
-            ck.put_tensors("best/d_params", &best.discriminator);
-            ck.put_tensors("best/opt_g", &best.opt_g);
-            ck.put_tensors("best/opt_d", &best.opt_d);
-        }
         ck
     }
 
@@ -623,22 +507,6 @@ impl GanTrainer {
         let step = ck.get_u64("progress/step")? as usize;
         let epoch = ck.get_u64("progress/epoch")?;
         let cursor = ck.get_u64("progress/cursor")? as usize;
-        let best = if ck.contains("best/g_params") {
-            let report = ValidationReport::read_from(&ck, "best/report")?;
-            let g_params = ck.take_tensors("best/g_params")?;
-            let d_params = ck.take_tensors("best/d_params")?;
-            let opt_g_best = ck.take_tensors("best/opt_g")?;
-            let opt_d_best = ck.take_tensors("best/opt_d")?;
-            Some(BestSnapshot {
-                report,
-                generator: g_params,
-                discriminator: d_params,
-                opt_g: opt_g_best,
-                opt_d: opt_d_best,
-            })
-        } else {
-            None
-        };
         Ok(GanTrainer {
             generator,
             discriminator,
@@ -648,7 +516,6 @@ impl GanTrainer {
             step,
             epoch,
             cursor,
-            best,
             scratch: TrainScratch::new(),
         })
     }
@@ -784,27 +651,6 @@ mod tests {
         let s2 = trainer.train_step(&t, &m);
         assert_eq!(s1.step, 1);
         assert_eq!(s2.step, 2);
-    }
-
-    #[test]
-    fn train_with_validation_restores_best_checkpoint() {
-        use ganopc_litho::OpticalConfig;
-        let ds = OpcDataset::synthesize(32, 4, ganopc_ilt::IltConfig::fast(), 55).unwrap();
-        let (train, val) = crate::validate::split_dataset(&ds, 0.25, 3).unwrap();
-        let mut opt = OpticalConfig::default_32nm(64.0);
-        opt.pupil_grid = 11;
-        opt.num_kernels = 6;
-        let model = ganopc_litho::LithoModel::new(opt, 32, 32).unwrap();
-        let mut cfg = TrainConfig::fast();
-        cfg.iterations = 8;
-        let mut trainer =
-            GanTrainer::new(Generator::new(32, 4, 1), Discriminator::new(32, 4, 2), cfg);
-        let (stats, best) = trainer.train_with_validation(&train, &val, &model, 2).unwrap();
-        assert_eq!(stats.len(), 8);
-        // The restored generator reproduces the reported best score.
-        let report =
-            crate::validate::evaluate_generator(trainer.generator_mut(), &model, &val).unwrap();
-        assert!((report.litho_error - best.litho_error).abs() < 1e-6);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use crate::{field_to_tensor_into, tensor_to_field, GanOpcError, Generator, OpcDataset};
 use ganopc_litho::LithoModel;
+use ganopc_obs as obs;
 use serde::{Deserialize, Serialize};
 
 /// Deterministically splits a dataset into train/validation parts.
@@ -60,31 +61,6 @@ pub struct ValidationReport {
     pub litho_error: f64,
 }
 
-impl ValidationReport {
-    /// Stores the report in a checkpoint under `{prefix}/…` sections.
-    pub fn put_into(&self, ck: &mut ganopc_nn::checkpoint::Checkpoint, prefix: &str) {
-        ck.put_u64(&format!("{prefix}/count"), self.count as u64);
-        ck.put_f64(&format!("{prefix}/mask_l2"), self.mask_l2);
-        ck.put_f64(&format!("{prefix}/litho_error"), self.litho_error);
-    }
-
-    /// Reads a report stored by [`ValidationReport::put_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GanOpcError::Checkpoint`] for missing or mistyped sections.
-    pub fn read_from(
-        ck: &ganopc_nn::checkpoint::Checkpoint,
-        prefix: &str,
-    ) -> Result<Self, GanOpcError> {
-        Ok(ValidationReport {
-            count: ck.get_u64(&format!("{prefix}/count"))? as usize,
-            mask_l2: ck.get_f64(&format!("{prefix}/mask_l2"))?,
-            litho_error: ck.get_f64(&format!("{prefix}/litho_error"))?,
-        })
-    }
-}
-
 /// Evaluates a generator on every instance of a dataset (inference mode).
 ///
 /// # Errors
@@ -96,6 +72,7 @@ pub fn evaluate_generator(
     model: &LithoModel,
     dataset: &OpcDataset,
 ) -> Result<ValidationReport, GanOpcError> {
+    let _sp = obs::span(obs::Span::TrainValidation);
     if generator.size() != dataset.size() {
         return Err(GanOpcError::Config(format!(
             "generator size {} != dataset size {}",

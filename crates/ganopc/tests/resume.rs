@@ -234,60 +234,40 @@ fn wrong_kind_and_hostile_state_rejected() {
 }
 
 #[test]
-fn best_snapshot_restores_full_training_state() {
-    // Satellite fix: train_with_validation used to restore only the best
-    // *generator weights*, leaving both optimizers and the discriminator at
-    // final-step state. Now the whole snapshot travels together; verify via
-    // the checkpoint sections that live state == best state after the run.
+fn legacy_best_sections_are_ignored_on_resume() {
+    // Older trainer states may carry `best/*` sections from the removed
+    // best-validation snapshot. Loading ignores them: a state with them
+    // planted continues bit-identically to the same state without them,
+    // and the sections do not reappear in the next save.
     let ds = dataset();
-    let model = litho_model();
-    let (train, val) = ganopc_core::split_dataset(&ds, 0.34, 3).unwrap();
     let mut config = TrainConfig::fast();
-    config.iterations = 4;
-    config.momentum = 0.5;
+    config.iterations = 6;
+    config.momentum = 0.5; // make optimizer state actually matter
     let mut trainer = fresh_trainer(config);
-    let (stats, report) = trainer.train_with_validation(&train, &val, &model, 1).unwrap();
-    assert_eq!(stats.len(), 4);
-    assert_eq!(trainer.best_report(), Some(&report));
+    let _ = trainer.train_for(&ds, 3);
+    let clean = trainer.to_checkpoint();
+    let mut legacy = clean.clone();
+    legacy.put_u64("best/report/count", 2);
+    legacy.put_f64("best/report/mask_l2", 0.25);
+    legacy.put_f64("best/report/litho_error", 1.5e3);
+    legacy.put_tensors("best/g_params", clean.get_tensors("g/params").unwrap());
+    legacy.put_tensors("best/d_params", clean.get_tensors("d/params").unwrap());
+    legacy.put_tensors("best/opt_g", clean.get_tensors("opt_g/velocity").unwrap());
+    legacy.put_tensors("best/opt_d", clean.get_tensors("opt_d/velocity").unwrap());
+    assert_ne!(legacy.to_bytes(), clean.to_bytes(), "legacy sections were not planted");
 
-    let ck = trainer.to_checkpoint();
-    for (live, best) in [
-        ("g/params", "best/g_params"),
-        ("d/params", "best/d_params"),
-        ("opt_g/velocity", "best/opt_g"),
-        ("opt_d/velocity", "best/opt_d"),
-    ] {
-        assert_eq!(
-            ck.get_tensors(live).unwrap(),
-            ck.get_tensors(best).unwrap(),
-            "{live} was not restored to the best-validation snapshot"
-        );
-    }
-}
-
-#[test]
-fn resume_preserves_best_snapshot_and_validation_flow() {
-    let ds = dataset();
-    let model = litho_model();
-    let (train, val) = ganopc_core::split_dataset(&ds, 0.34, 3).unwrap();
-    let mut config = TrainConfig::fast();
-    config.iterations = 4;
-
-    // A completed validated run, checkpointed and resumed: the best
-    // snapshot (report + weights + optimizer state) must survive the disk
-    // round trip exactly.
-    let path = temp_path("validated.ckpt");
-    let mut straight = fresh_trainer(config);
-    let (_, report) = straight.train_with_validation(&train, &val, &model, 2).unwrap();
-    straight.save_checkpoint(&path).unwrap();
-    let mut resumed = GanTrainer::resume(&path).unwrap();
-    assert_eq!(resumed.step(), 4);
-    assert_eq!(resumed.best_report(), Some(&report));
-
-    // Continuing a finished validated run does zero steps and hands back
-    // the same best checkpoint instead of re-training or panicking.
-    let (tail, report2) = resumed.train_with_validation(&train, &val, &model, 2).unwrap();
-    assert!(tail.is_empty(), "finished run must not train further");
-    assert_eq!(report2, report, "best report diverged across resume");
-    std::fs::remove_file(&path).unwrap();
+    let mut from_clean = GanTrainer::from_checkpoint(clean).unwrap();
+    let mut from_legacy = GanTrainer::from_checkpoint(legacy).unwrap();
+    assert_eq!(from_legacy.step(), 3);
+    let clean_stats = from_clean.train(&ds);
+    let legacy_stats = from_legacy.train(&ds);
+    assert_eq!(legacy_stats.len(), 3);
+    assert_eq!(legacy_stats, clean_stats, "legacy sections changed the trajectory");
+    let after = from_legacy.to_checkpoint();
+    assert!(!after.contains("best/g_params"), "legacy sections were written back");
+    assert_eq!(
+        after.to_bytes(),
+        from_clean.to_checkpoint().to_bytes(),
+        "weights or optimizer state differ after resuming a legacy state"
+    );
 }

@@ -12,6 +12,11 @@
 //! mutex sections and a condvar broadcast instead of the former
 //! spawn-plus-join of a fresh thread generation per call.
 //!
+//! [`run_chunks`] is the only dispatch entry point: it splits `0..total`
+//! into index ranges and callers write results into caller-owned storage
+//! (through [`DisjointMut`]), so no dispatch materializes a job or result
+//! vector.
+//!
 //! Guarantees, unchanged from the scoped-spawn era:
 //!
 //! * **One knob.** `GANOPC_THREADS` caps every dispatch in the process; the
@@ -21,10 +26,10 @@
 //!   dispatch (surplus workers stay parked — they are never killed).
 //! * **Deterministic results.** Jobs are split into contiguous, balanced
 //!   (±1 job) chunks whose boundaries depend only on the job count and the
-//!   thread cap, and per-job results are returned **in job order** no matter
-//!   which worker ran which chunk. Callers that reduce do so sequentially
-//!   over that ordered output, so floating-point results are bit-identical
-//!   for any thread count.
+//!   thread cap, and every job writes its own slot of caller-owned storage
+//!   no matter which worker ran which chunk. Callers that reduce do so
+//!   sequentially over that job-indexed output, so floating-point results
+//!   are bit-identical for any thread count.
 //! * **No oversubscription.** A job that itself calls into the pool (e.g. a
 //!   GEMM inside a per-sample convolution job) executes the nested call
 //!   inline on its current thread instead of dispatching again.
@@ -102,9 +107,9 @@ pub fn crew_workers() -> usize {
 // Crew internals
 // ---------------------------------------------------------------------------
 
-/// Upper bound on chunks per dispatch: chunk-completion bookkeeping lives in
-/// `u64` bitmaps, and the claim word packs the chunk cursor into its low
-/// byte. 64 concurrent chunks is far beyond any host this targets.
+/// Upper bound on chunks per dispatch: the claim word packs the chunk
+/// cursor into its low byte, which must never overflow into the sequence
+/// bits. 64 concurrent chunks is far beyond any host this targets.
 const MAX_CHUNKS: usize = 64;
 
 /// Bits of the claim word reserved for the chunk cursor.
@@ -136,10 +141,6 @@ struct State {
     task: Option<Task>,
     /// Chunks of the current dispatch not yet accounted done/skipped/panicked.
     pending: usize,
-    /// Bitmap of chunks that ran to completion.
-    completed: u64,
-    /// Bitmap of chunks skipped after a panic elsewhere.
-    skipped: u64,
     /// First panic payload caught during the current dispatch.
     panic: Option<Box<dyn std::any::Any + Send + 'static>>,
     /// Worker threads spawned so far.
@@ -172,15 +173,7 @@ static CREW: OnceLock<Crew> = OnceLock::new();
 fn crew() -> &'static Crew {
     CREW.get_or_init(|| Crew {
         dispatch: Mutex::new(()),
-        state: Mutex::new(State {
-            seq: 0,
-            task: None,
-            pending: 0,
-            completed: 0,
-            skipped: 0,
-            panic: None,
-            workers: 0,
-        }),
+        state: Mutex::new(State { seq: 0, task: None, pending: 0, panic: None, workers: 0 }),
         work: Condvar::new(),
         done: Condvar::new(),
         claim: AtomicU64::new(0),
@@ -279,27 +272,21 @@ fn claim_chunk(seq: u64, chunks: usize) -> Option<usize> {
 // lint: hot-path
 fn execute_chunks(task: Task, seq: u64) -> usize {
     let crew = crew();
-    let mut done_mask = 0u64;
-    let mut skip_mask = 0u64;
     let mut processed = 0usize;
     let mut payload: Option<Box<dyn std::any::Any + Send + 'static>> = None;
     while let Some(chunk) = claim_chunk(seq, task.chunks) {
         processed += 1;
         if crew.abort.load(Ordering::Relaxed) {
-            skip_mask |= 1 << chunk;
             continue;
         }
         // SAFETY: `chunk` was claimed through the sequence-guarded cursor,
         // so it belongs to the dispatch that published `task`, whose `ctx`
         // still lives on the blocked dispatcher's stack; each chunk index is
         // claimed exactly once, so chunk-level work never aliases.
-        match catch_unwind(AssertUnwindSafe(|| unsafe { (task.run)(task.ctx, chunk) })) {
-            Ok(()) => done_mask |= 1 << chunk,
-            Err(p) => {
-                crew.abort.store(true, Ordering::Relaxed);
-                if payload.is_none() {
-                    payload = Some(p);
-                }
+        if let Err(p) = catch_unwind(AssertUnwindSafe(|| unsafe { (task.run)(task.ctx, chunk) })) {
+            crew.abort.store(true, Ordering::Relaxed);
+            if payload.is_none() {
+                payload = Some(p);
             }
         }
     }
@@ -307,8 +294,6 @@ fn execute_chunks(task: Task, seq: u64) -> usize {
         // PANIC: the crew never panics while holding its mutexes — see
         // worker_loop.
         let mut st = crew.state.lock().expect("crew state lock");
-        st.completed |= done_mask;
-        st.skipped |= skip_mask;
         if st.panic.is_none() {
             st.panic = payload;
         }
@@ -338,18 +323,10 @@ fn ensure_workers(st: &mut State, target: usize) {
     }
 }
 
-/// Outcome of a dispatch that caught a panic: which chunks completed or
-/// were skipped (for typed cleanup by the caller) and the payload to
-/// resume with.
-struct PanicOutcome {
-    completed: u64,
-    skipped: u64,
-    payload: Box<dyn std::any::Any + Send + 'static>,
-}
-
 /// Publishes `(run, ctx, chunks)` to the crew, participates in execution,
 /// and blocks until every chunk is accounted for. Allocation-free in the
-/// steady state (worker spawn is a one-time cost per crew slot).
+/// steady state (worker spawn is a one-time cost per crew slot). Returns
+/// the first panic payload caught during the dispatch, if any.
 ///
 /// On return, no thread holds a reference derived from `ctx`.
 // lint: hot-path
@@ -357,14 +334,13 @@ fn dispatch(
     run: unsafe fn(*const (), usize),
     ctx: *const (),
     chunks: usize,
-) -> Result<(), PanicOutcome> {
+) -> Result<(), Box<dyn std::any::Any + Send + 'static>> {
     debug_assert!((2..=MAX_CHUNKS).contains(&chunks), "dispatch chunk count {chunks} out of range");
     // Hard cap, enforced in release builds too: the claim word packs the
-    // chunk cursor into its low CLAIM_SEQ_SHIFT bits (256 claims) and the
-    // completed/skipped bitmaps hold one bit per chunk (64). A chunk count
-    // above MAX_CHUNKS would silently corrupt both, so clamp — every planner
-    // in this module already upholds the invariant via `plan_threads`, but a
-    // future call site must not be able to break it silently.
+    // chunk cursor into its low CLAIM_SEQ_SHIFT bits (256 claims), and a
+    // chunk count past that would silently corrupt the cursor, so clamp —
+    // `plan_threads` already upholds the invariant, but a future call site
+    // must not be able to break it silently.
     let chunks = chunks.min(MAX_CHUNKS);
     obs::counter_add(obs::Counter::PoolDispatches, 1);
     let crew = crew();
@@ -380,8 +356,6 @@ fn dispatch(
         let task = Task { run, ctx, chunks };
         st.task = Some(task);
         st.pending = chunks;
-        st.completed = 0;
-        st.skipped = 0;
         st.panic = None;
         crew.abort.store(false, Ordering::Relaxed);
         crew.claim.store(st.seq << CLAIM_SEQ_SHIFT, Ordering::Release);
@@ -403,12 +377,7 @@ fn dispatch(
         st = crew.done.wait(st).expect("crew state lock");
     }
     st.task = None;
-    let outcome = match st.panic.take() {
-        None => Ok(()),
-        Some(payload) => {
-            Err(PanicOutcome { completed: st.completed, skipped: st.skipped, payload })
-        }
-    };
+    let outcome = st.panic.take().map_or(Ok(()), Err);
     drop(st);
     drop(guard);
     outcome
@@ -417,127 +386,6 @@ fn dispatch(
 // ---------------------------------------------------------------------------
 // Public dispatch surface
 // ---------------------------------------------------------------------------
-
-/// Context for [`run`]'s type-erased chunk thunk: raw views of the job and
-/// result buffers plus the shared closure.
-struct RunCtx<'a, J, R, F> {
-    jobs: *mut J,
-    results: *mut R,
-    f: &'a F,
-    total: usize,
-    chunks: usize,
-}
-
-/// Executes one chunk of a [`run`] dispatch: moves each job out of the job
-/// buffer, applies `f`, and writes the result at the same index.
-///
-/// # Safety
-///
-/// `ctx` must point to the dispatching [`run`]'s live `RunCtx` and each
-/// chunk index must be executed at most once (both guaranteed by
-/// [`dispatch`]'s claim protocol).
-// lint: hot-path
-unsafe fn run_thunk<J, R, F: Fn(J) -> R>(ctx: *const (), chunk: usize) {
-    // SAFETY: per this function's contract, `ctx` is the live `RunCtx` of
-    // the dispatch that claimed `chunk`.
-    let ctx = unsafe { &*ctx.cast::<RunCtx<'_, J, R, F>>() };
-    let range = chunk_bounds(chunk, ctx.total, ctx.chunks);
-    for i in range {
-        // SAFETY: chunk ranges partition `0..total` and each chunk runs at
-        // most once, so job slot `i` is read exactly once (the caller
-        // `set_len(0)`-ed the vector, so nothing else drops it) and result
-        // slot `i` — within the result vector's capacity — is written
-        // exactly once.
-        unsafe {
-            let job = std::ptr::read(ctx.jobs.add(i));
-            std::ptr::write(ctx.results.add(i), (ctx.f)(job));
-        }
-    }
-}
-
-/// Runs `f` over `jobs` on the crew (up to [`max_threads`] participants,
-/// dispatching thread included) and returns the results **in job order**.
-///
-/// Jobs are assigned to participants as contiguous, balanced chunks, so a
-/// job may borrow disjoint `&mut` slices of a caller-owned buffer (hand
-/// them out with `chunks_mut` before calling). Runs inline when the pool is
-/// capped at one thread, when there is a single job, or when called from
-/// inside another pool job.
-///
-/// Steady-state call sites that can express their work as index ranges
-/// should prefer [`run_chunks`], which needs no job vector at all.
-///
-/// # Panics
-///
-/// Propagates the first panicking job's payload after the whole dispatch
-/// has quiesced; the crew survives for subsequent dispatches.
-// lint: hot-path
-pub fn run<J, R, F>(jobs: Vec<J>, f: F) -> Vec<R>
-where
-    J: Send,
-    R: Send,
-    F: Fn(J) -> R + Sync,
-{
-    let total = jobs.len();
-    let chunks = plan_threads(total);
-    if chunks <= 1 || in_worker() {
-        // ALLOC: the result vector is the return value; the serial path
-        // performs no other allocation.
-        return jobs.into_iter().map(f).collect();
-    }
-    let mut jobs = jobs;
-    // ALLOC: the result vector is the return value, written in place by the
-    // chunk thunks; the dispatch machinery itself allocates nothing.
-    let mut results: Vec<R> = Vec::with_capacity(total);
-    let ctx =
-        RunCtx { jobs: jobs.as_mut_ptr(), results: results.as_mut_ptr(), f: &f, total, chunks };
-    // SAFETY: ownership of every job moves to the chunk thunks (each slot
-    // read exactly once); clearing the length first means a panic anywhere
-    // can at worst leak jobs, never double-drop them.
-    unsafe { jobs.set_len(0) };
-    match dispatch(
-        run_thunk::<J, R, F> as unsafe fn(*const (), usize),
-        std::ptr::from_ref(&ctx).cast(),
-        chunks,
-    ) {
-        Ok(()) => {
-            // SAFETY: every chunk completed, so all `total` result slots
-            // were initialized by `run_thunk`.
-            unsafe { results.set_len(total) };
-            results
-        }
-        Err(outcome) => {
-            for chunk in 0..chunks {
-                let range = chunk_bounds(chunk, total, chunks);
-                if outcome.completed & (1 << chunk) != 0 {
-                    // SAFETY: a completed chunk initialized exactly its
-                    // range of result slots; results.len() is still 0, so
-                    // dropping here is the only drop.
-                    unsafe {
-                        std::ptr::drop_in_place(std::ptr::slice_from_raw_parts_mut(
-                            results.as_mut_ptr().add(range.start),
-                            range.len(),
-                        ));
-                    }
-                } else if outcome.skipped & (1 << chunk) != 0 {
-                    // SAFETY: a skipped chunk never touched its slots, so
-                    // its jobs are still initialized and owned solely by
-                    // this cleanup (jobs.len() is 0).
-                    unsafe {
-                        std::ptr::drop_in_place(std::ptr::slice_from_raw_parts_mut(
-                            jobs.as_mut_ptr().add(range.start),
-                            range.len(),
-                        ));
-                    }
-                }
-                // The panicking chunk itself is deliberately leaked: its
-                // read/write progress is unknown, and leaking beats a
-                // possible double-drop.
-            }
-            resume_unwind(outcome.payload)
-        }
-    }
-}
 
 /// Context for [`run_chunks`]'s type-erased thunk.
 struct ChunksCtx<'a, F> {
@@ -567,18 +415,17 @@ unsafe fn chunks_thunk<F: Fn(Range<usize>)>(ctx: *const (), chunk: usize) {
 /// one thread, when `total <= 1`, or when called from inside another pool
 /// job; does nothing for `total == 0`.
 ///
-/// This is the steady-state entry point for the hot dispatch sites: unlike
-/// [`run`] it materializes no job vector and returns no result vector —
-/// callers write results into caller-owned disjoint storage.
+/// This is the pool's only dispatch entry point: it materializes no job
+/// vector and returns no result vector — callers write results into
+/// caller-owned disjoint storage.
 ///
 /// # Invariant
 ///
 /// A dispatch never uses more than `MAX_CHUNKS` (64) ranges, regardless of
-/// `total` or the thread cap: chunk completion is tracked in `u64` bitmaps
-/// and the claim word reserves only the low byte for the chunk cursor.
-/// `plan_threads` clamps to that bound here, and [`dispatch`] re-clamps
-/// (plus `debug_assert!`s) so no future call site can overflow the packed
-/// bookkeeping silently.
+/// `total` or the thread cap: the claim word reserves only the low byte for
+/// the chunk cursor. `plan_threads` clamps to that bound here, and
+/// `dispatch` re-clamps (plus `debug_assert!`s) so no future call site can
+/// overflow the claim cursor silently.
 ///
 /// # Panics
 ///
@@ -598,37 +445,13 @@ where
         return;
     }
     let ctx = ChunksCtx { f: &f, total, chunks };
-    if let Err(outcome) = dispatch(
+    if let Err(payload) = dispatch(
         chunks_thunk::<F> as unsafe fn(*const (), usize),
         std::ptr::from_ref(&ctx).cast(),
         chunks,
     ) {
-        resume_unwind(outcome.payload);
+        resume_unwind(payload);
     }
-}
-
-/// Side-effect-only counterpart of [`run`]: executes `f` over `jobs` with
-/// the same chunking, ordering and nesting guarantees, but returns nothing.
-///
-/// The serial path (one thread, one job, or already inside a worker) walks
-/// the iterator directly **without allocating**. The parallel path collects
-/// the jobs and delegates to [`run`]; steady-state hot paths should prefer
-/// [`run_chunks`], which skips that collection entirely.
-// lint: hot-path
-pub fn for_each<I, F>(jobs: I, f: F)
-where
-    I: ExactSizeIterator,
-    I::Item: Send,
-    F: Fn(I::Item) + Sync,
-{
-    if plan_threads(jobs.len()) <= 1 || in_worker() {
-        for job in jobs {
-            f(job);
-        }
-        return;
-    }
-    // ALLOC: convenience parallel path only — hot call sites use run_chunks.
-    run(jobs.collect(), f);
 }
 
 // ---------------------------------------------------------------------------
@@ -709,89 +532,38 @@ impl<'a, T> DisjointMut<'a, T> {
     }
 }
 
-/// Debug-build race detector for partitioned parallel writes: asserts that
-/// the `(start, len)` index ranges of one shared buffer handed to pool
-/// jobs as `&mut` chunks are pairwise disjoint. Two overlapping ranges mean
-/// two workers may write the same elements concurrently — undefined
-/// behaviour that safe code can only reach through an arithmetic slip in
-/// the chunking math, which is exactly what this catches. Compiles to
-/// nothing in release builds, so dispatch sites may call it unconditionally.
-///
-/// # Panics
-///
-/// Panics in debug builds when any two ranges overlap.
-pub fn debug_assert_disjoint<I>(site: &str, ranges: I)
-where
-    I: IntoIterator<Item = (usize, usize)>,
-{
-    if !cfg!(debug_assertions) {
-        return;
-    }
-    let mut sorted: Vec<(usize, usize)> = ranges.into_iter().collect();
-    sorted.sort_unstable();
-    for w in sorted.windows(2) {
-        let ((a0, a_len), (b0, _)) = (w[0], w[1]);
-        // PANIC: debug-build race detector — the whole point is to abort
-        // before overlapping &mut partitions reach the workers.
-        assert!(
-            a0 + a_len <= b0,
-            "{site}: overlapping parallel partition: [{a0}, {}) and [{b0}, ..)",
-            a0 + a_len,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn results_preserve_job_order() {
-        let jobs: Vec<usize> = (0..100).collect();
-        let out = run(jobs, |i| i * 2);
-        assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn jobs_may_own_disjoint_mut_slices() {
-        let mut data = vec![0u32; 64];
-        let jobs: Vec<(usize, &mut [u32])> = data.chunks_mut(16).enumerate().collect();
-        run(jobs, |(idx, chunk)| {
-            for v in chunk.iter_mut() {
-                *v = idx as u32;
-            }
-        });
-        for (i, &v) in data.iter().enumerate() {
-            assert_eq!(v as usize, i / 16);
-        }
-    }
-
-    #[test]
-    fn nested_run_executes_inline() {
-        let outer: Vec<usize> = (0..8).collect();
-        let nested_inline = run(outer, |_| {
+    fn nested_run_chunks_executes_inline() {
+        let mut outer = vec![(false, 0usize); 8];
+        let dm = DisjointMut::new(&mut outer);
+        run_chunks(8, |range| {
             // From inside a worker (or inline when capped at one thread), a
-            // nested call must not spawn another generation of workers.
+            // nested call must run its whole range in one inline call
+            // instead of dispatching to the crew again.
             let was_worker = in_worker();
-            let inner = run(vec![1usize, 2, 3], |x| x * x);
-            (was_worker || max_threads() == 1, inner)
-        });
-        for (ok, inner) in nested_inline {
-            assert!(ok);
-            assert_eq!(inner, vec![1, 4, 9]);
-        }
-    }
-
-    #[test]
-    fn for_each_covers_every_job() {
-        let mut data = vec![0u32; 64];
-        for_each(data.chunks_mut(16).enumerate(), |(idx, chunk)| {
-            for v in chunk.iter_mut() {
-                *v = idx as u32 + 1;
+            let calls = std::sync::atomic::AtomicUsize::new(0);
+            let inner = std::sync::Mutex::new(Vec::new());
+            run_chunks(3, |r| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                inner.lock().unwrap().extend(r.map(|x| x * x));
+            });
+            assert_eq!(*inner.lock().unwrap(), vec![0, 1, 4]);
+            for i in range {
+                // SAFETY: run_chunks ranges partition 0..8, so each index is
+                // covered by exactly one live view.
+                unsafe {
+                    *dm.index_mut(i) =
+                        (was_worker || max_threads() == 1, calls.load(Ordering::Relaxed))
+                };
             }
         });
-        for (i, &v) in data.iter().enumerate() {
-            assert_eq!(v as usize, i / 16 + 1);
+        for (ok, calls) in outer {
+            assert!(ok);
+            assert_eq!(calls, 1, "nested run_chunks must run inline as one range");
         }
     }
 
@@ -847,21 +619,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn disjoint_partitions_pass() {
-        // Exact tiling, a gap, and out-of-order ranges are all fine.
-        debug_assert_disjoint("test", [(0, 16), (16, 16), (32, 16)]);
-        debug_assert_disjoint("test", [(48, 8), (0, 16), (20, 4)]);
-        debug_assert_disjoint("test", [(0, 0), (0, 4)]); // empty range
-        debug_assert_disjoint("test", []);
-    }
-
-    #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "overlapping parallel partition"))]
-    fn overlapping_partition_trips_checker() {
-        debug_assert_disjoint("test", [(0, 17), (16, 16)]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! `set_max_threads` override and deliberately panic inside pool jobs;
 //! neither should interleave with the library's unit tests.
 
-use ganopc_nn::pool;
+use ganopc_nn::pool::{self, DisjointMut};
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -14,6 +14,22 @@ use std::thread::ThreadId;
 /// Serializes the tests in this binary: both toggle the process-wide
 /// `set_max_threads` override, so they must not interleave.
 static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
+
+/// Runs `inspect(j)` then writes `j * 2` into slot `j` of a fresh vector,
+/// one `run_chunks` dispatch over `0..total`.
+fn doubled(total: usize, inspect: impl Fn(usize) + Sync) -> Vec<usize> {
+    let mut out = vec![0usize; total];
+    let view = DisjointMut::new(&mut out);
+    pool::run_chunks(total, |range| {
+        for j in range {
+            inspect(j);
+            // SAFETY: run_chunks ranges partition 0..total, so each index is
+            // covered by exactly one live view.
+            unsafe { *view.index_mut(j) = j * 2 };
+        }
+    });
+    out
+}
 
 /// Sequential dispatches must reuse the same parked workers instead of
 /// spawning a fresh crew per call: across many runs the set of distinct
@@ -27,13 +43,11 @@ fn workers_persist_across_dispatches() {
     let caller = std::thread::current().id();
     for _ in 0..10 {
         // Enough jobs that every worker has work waiting when it wakes.
-        let jobs: Vec<usize> = (0..64).collect();
-        let out = pool::run(jobs, |j| {
+        let out = doubled(64, |_| {
             let id = std::thread::current().id();
             if id != caller {
                 ids.lock().unwrap().insert(id);
             }
-            j * 2
         });
         assert_eq!(out, (0..64).map(|j| j * 2).collect::<Vec<_>>());
     }
@@ -57,18 +71,14 @@ fn workers_persist_across_dispatches() {
 fn panicking_job_does_not_poison_the_crew() {
     let _guard = OVERRIDE_LOCK.lock().unwrap();
     pool::set_max_threads(Some(4));
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        pool::run((0..16).collect::<Vec<usize>>(), |j| {
-            assert!(j != 9, "job nine exploded");
-            j + 1
-        })
-    }));
+    let caught =
+        catch_unwind(AssertUnwindSafe(|| doubled(16, |j| assert!(j != 9, "job nine exploded"))));
     assert!(caught.is_err(), "panic in a pool job must reach the caller");
 
     // The crew must still be fully functional afterwards.
     for _ in 0..3 {
-        let out = pool::run((0..32).collect::<Vec<usize>>(), |j| j * 3);
-        assert_eq!(out, (0..32).map(|j| j * 3).collect::<Vec<_>>());
+        let out = doubled(32, |_| {});
+        assert_eq!(out, (0..32).map(|j| j * 2).collect::<Vec<_>>());
         let hits = AtomicUsize::new(0);
         pool::run_chunks(33, |r| {
             hits.fetch_add(r.len(), Ordering::Relaxed);

@@ -202,7 +202,8 @@ registry_enum! {
         TrainBackward => "train_backward",
         /// Gradient clipping and optimizer updates.
         TrainOptimizer => "train_optimizer",
-        /// Validation checkpoints (litho scoring of generated masks).
+        /// Hold-out scoring of a generator (`evaluate_generator`: litho
+        /// scoring of generated masks).
         TrainValidation => "train_validation",
         /// One generator pretraining step.
         PretrainStep => "pretrain_step",
@@ -306,7 +307,7 @@ pub fn epe_trace_stride() -> usize {
     EPE_TRACE_STRIDE.load(Relaxed)
 }
 
-/// Enables ([`stride > 0`]) or disables (0, the default) the per-iteration
+/// Enables (`stride > 0`) or disables (0, the default) the per-iteration
 /// EPE trace inside ILT refinement. EPE sampling simulates an extra aerial
 /// image per sampled iteration, so it is opt-in (the CLI turns it on when
 /// `--metrics-json` is given).

@@ -132,7 +132,11 @@ fn classify(context: &str, e: GanOpcError) -> CliError {
     }
 }
 
-fn parse_args(args: &[String]) -> Result<HashMap<String, String>, CliError> {
+/// Parses `--key value` pairs. A key that a known `command` does not read
+/// is a usage error, so a misspelled flag cannot silently fall back to the
+/// default; unknown commands are left for the dispatcher to report.
+fn parse_args(command: &str, args: &[String]) -> Result<HashMap<String, String>, CliError> {
+    let keys = command_keys(command);
     let mut map = HashMap::new();
     let mut it = args.iter();
     while let Some(key) = it.next() {
@@ -144,9 +148,39 @@ fn parse_args(args: &[String]) -> Result<HashMap<String, String>, CliError> {
         let Some(value) = it.next() else {
             return Err(CliError::Usage(format!("missing value for --{name}")));
         };
+        if keys.is_some_and(|k| !k.contains(&name) && !GLOBAL_KEYS.contains(&name)) {
+            return Err(CliError::Usage(format!("unknown flag --{name} for '{command}'")));
+        }
         map.insert(name.to_string(), value.clone());
     }
     Ok(map)
+}
+
+/// Flags every command accepts.
+const GLOBAL_KEYS: &[&str] = &["metrics-json"];
+
+/// The flags `command` reads, or `None` for an unknown command.
+fn command_keys(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "synthesize" => &["seed", "groups", "size", "out"],
+        "opc" => &["flow", "seed", "size", "clip", "net", "ckpt", "outdir"],
+        "train" => &[
+            "out",
+            "count",
+            "net",
+            "iters",
+            "pretrain",
+            "seed",
+            "state",
+            "resume",
+            "ckpt-ring",
+            "max-retries",
+            "divergence-window",
+        ],
+        "evaluate" => &["ckpt", "net", "size"],
+        "suite" | "help" | "--help" | "-h" => &[],
+        _ => return None,
+    })
 }
 
 fn get<T: std::str::FromStr>(
@@ -456,7 +490,7 @@ fn main() -> ExitCode {
         eprint!("{USAGE}");
         return ExitCode::from(2);
     };
-    let parsed = match parse_args(&argv[1..]) {
+    let parsed = match parse_args(command, &argv[1..]) {
         Ok(map) => map,
         Err(e) => {
             eprintln!("error: {}\n", e.message());

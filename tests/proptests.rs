@@ -31,7 +31,8 @@ proptest! {
     #[test]
     fn fft_parseval(values in prop::collection::vec(-4.0f32..4.0, 64)) {
         let plan = Fft2d::new(8, 8).unwrap();
-        let spec = plan.forward_real(&values).unwrap();
+        let mut spec: Vec<Complex> = values.iter().map(|&v| Complex::from_real(v)).collect();
+        plan.transform(&mut spec, Direction::Forward).unwrap();
         let time: f64 = values.iter().map(|&v| (v as f64) * (v as f64)).sum();
         let freq: f64 = spec.iter().map(|c| c.norm_sqr() as f64).sum::<f64>() / 64.0;
         prop_assert!((time - freq).abs() <= 1e-3 * time.max(1.0));
@@ -44,9 +45,15 @@ proptest! {
         kernel[4] = Complex::ONE;
         let ks = spectrum::KernelSpectrum::new(&kernel, 3, 8, 8).unwrap();
         let plan = RealFft2d::new(8, 8).unwrap();
-        let out = spectrum::convolve_real(&plan, &values, &ks).unwrap();
-        for (o, &v) in out.iter().zip(&values) {
-            prop_assert!((o.re - v).abs() < 1e-3);
+        let mut scratch = Vec::new();
+        let mut half = vec![Complex::ZERO; plan.spectrum_len()];
+        plan.forward(&values, &mut half, &mut scratch).unwrap();
+        let mut prod = vec![Complex::ZERO; plan.spectrum_len()];
+        spectrum::mul_into(&mut prod, &half, ks.re_spectrum().unwrap());
+        let mut out = vec![0.0f32; plan.real_len()];
+        plan.inverse(&mut prod, &mut out, &mut scratch).unwrap();
+        for (&o, &v) in out.iter().zip(&values) {
+            prop_assert!((o - v).abs() < 1e-3);
         }
     }
 
