@@ -59,8 +59,8 @@ impl PretrainConfig {
         if self.batch_size == 0 {
             return Err("batch size must be positive".into());
         }
-        if self.lr <= 0.0 {
-            return Err("learning rate must be positive".into());
+        if !(self.lr > 0.0 && self.lr.is_finite()) {
+            return Err("learning rate must be positive and finite".into());
         }
         if !(0.0..1.0).contains(&self.momentum) {
             return Err("momentum must lie in [0, 1)".into());

@@ -91,8 +91,10 @@ impl TrainConfig {
         if self.batch_size == 0 {
             return Err("batch size must be positive".into());
         }
-        if self.lr_generator <= 0.0 || self.lr_discriminator <= 0.0 {
-            return Err("learning rates must be positive".into());
+        // NaN fails `x > 0.0`, so it is rejected along with ±∞.
+        let positive_finite = |x: f32| x > 0.0 && x.is_finite();
+        if !positive_finite(self.lr_generator) || !positive_finite(self.lr_discriminator) {
+            return Err("learning rates must be positive and finite".into());
         }
         if !(0.0..1.0).contains(&self.momentum) {
             return Err("momentum must lie in [0, 1)".into());
@@ -101,8 +103,8 @@ impl TrainConfig {
             return Err("alpha must be nonnegative".into());
         }
         if let Some(c) = self.clip_grad_norm {
-            if c.is_nan() || c <= 0.0 {
-                return Err("clip_grad_norm must be positive".into());
+            if !positive_finite(c) {
+                return Err("clip_grad_norm must be positive and finite".into());
             }
         }
         Ok(())
@@ -392,11 +394,6 @@ impl GanTrainer {
     pub fn scale_learning_rates(&mut self, factor: f32) {
         self.opt_g.set_learning_rate(self.opt_g.learning_rate() * factor);
         self.opt_d.set_learning_rate(self.opt_d.learning_rate() * factor);
-    }
-
-    /// Current `(generator, discriminator)` optimizer learning rates.
-    pub fn learning_rates(&self) -> (f32, f32) {
-        (self.opt_g.learning_rate(), self.opt_d.learning_rate())
     }
 
     /// Trains until `config.iterations` total steps have run (a fresh

@@ -23,9 +23,13 @@
 //! threads, on a 32-px and a 128-px frame. This counts every heap
 //! allocation, not only arena freelist misses, so growth of the FFT scratch
 //! buffers that the arena hands out is caught too.
+//!
+//! The ILT descent loop is held to "allocates nothing per iteration": two
+//! `IltEngine::optimize` runs that differ only in their iteration count
+//! must make the same number of allocations.
 
 use ganopc_core::{Discriminator, GanTrainer, Generator, OpcDataset, TrainConfig};
-use ganopc_ilt::IltConfig;
+use ganopc_ilt::{IltConfig, IltEngine};
 use ganopc_litho::{Field, LithoModel};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -132,6 +136,13 @@ fn steady_state_training_and_inference_allocate_nothing() {
         }
     }
 
+    // ILT descent: per-run setup and result allocations only, so 8 and 24
+    // iterations must cost the same number of allocations.
+    ganopc_nn::pool::set_max_threads(Some(1));
+    let short = ilt_run_allocations(8);
+    let long = ilt_run_allocations(24);
+    assert_eq!(short, long, "ILT allocations grew with the iteration count");
+
     // Metrics recording itself is allocation-free: counters, span guards,
     // and trace pushes write fixed static slots. Every measured loop above
     // already ran with the train/infer spans and pool counters recording;
@@ -179,4 +190,27 @@ fn litho_steady_state_allocates_nothing(model: &LithoModel, threads: usize) {
     }
     let delta = allocations() - before;
     assert_eq!(delta, 0, "{h}-px litho hot path allocated {delta} times at {threads} threads");
+}
+
+/// Allocations made by one warm `IltEngine::optimize` run of exactly
+/// `iterations` descent steps on a 32-px frame.
+fn ilt_run_allocations(iterations: usize) -> u64 {
+    let model = LithoModel::iccad2013_like(32).unwrap();
+    let mut target = Field::zeros(32, 32);
+    for y in 8..24 {
+        for x in 12..20 {
+            target.set(y, x, 1.0);
+        }
+    }
+    // The patience window (24) is never filled, so the convergence test
+    // cannot stop either run early.
+    let config = IltConfig { max_iterations: iterations, ..IltConfig::fast() };
+    let mut engine = IltEngine::new(model, config);
+    // Warm-up run: sizes the litho arena and the per-thread field slots.
+    engine.optimize(&target).unwrap();
+    let before = allocations();
+    let result = engine.optimize(&target).unwrap();
+    let delta = allocations() - before;
+    assert_eq!(result.iterations, iterations, "ILT stopped early");
+    delta
 }

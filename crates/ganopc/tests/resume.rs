@@ -234,6 +234,38 @@ fn wrong_kind_and_hostile_state_rejected() {
 }
 
 #[test]
+fn non_finite_learning_rates_are_config_errors() {
+    // A CRC-valid state whose learning rate is NaN or ±∞ must be rejected
+    // by config validation, not reach the optimizer constructor's panic
+    // (NaN fails every `lr <= 0` test) or be accepted as a finite run.
+    let mut trainer = fresh_trainer(TrainConfig::fast());
+    let base = trainer.to_checkpoint();
+    for (name, value) in [
+        ("config/lr_generator", f64::NAN),
+        ("config/lr_discriminator", f64::INFINITY),
+        ("config/clip_grad_norm", f64::INFINITY),
+    ] {
+        let mut ck = base.clone();
+        ck.put_f64(name, value);
+        assert!(
+            matches!(GanTrainer::from_checkpoint(ck), Err(GanOpcError::Config(_))),
+            "{name} = {value} was not a config error"
+        );
+    }
+
+    let mut pre = Pretrainer::new(Generator::new(32, 4, 1), PretrainConfig::fast());
+    let base = pre.to_checkpoint();
+    for value in [f64::INFINITY, f64::NAN] {
+        let mut ck = base.clone();
+        ck.put_f64("config/lr", value);
+        assert!(
+            matches!(Pretrainer::from_checkpoint(ck), Err(GanOpcError::Config(_))),
+            "config/lr = {value} was not a config error"
+        );
+    }
+}
+
+#[test]
 fn legacy_best_sections_are_ignored_on_resume() {
     // Older trainer states may carry `best/*` sections from the removed
     // best-validation snapshot. Loading ignores them: a state with them

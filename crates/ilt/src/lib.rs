@@ -16,8 +16,8 @@
 //! translated sigmoid `M_b = σ(β·P)` (Eq. (13)); the relaxed wafer image is
 //! `Z = σ(α(I − I_th))` (Eq. (12)); steepest descent minimizes
 //! `E = ‖Z_t − Z‖²` (Eq. (11)) using the analytic gradient of Eq. (14)
-//! (provided by [`ganopc_litho::LithoModel::gradient`], chained here with
-//! the mask-sigmoid derivative `β·M_b(1−M_b)`).
+//! (provided by [`ganopc_litho::LithoModel::gradient_doses_into`], chained
+//! here with the mask-sigmoid derivative `β·M_b(1−M_b)`).
 //!
 //! # Example
 //!
@@ -179,11 +179,14 @@ impl IltConfig {
         if self.max_iterations == 0 {
             return Err("max_iterations must be positive".into());
         }
-        if self.step_size <= 0.0 {
-            return Err("step_size must be positive".into());
+        if !(self.step_size > 0.0 && self.step_size.is_finite()) {
+            return Err("step_size must be positive and finite".into());
         }
-        if self.beta <= 0.0 {
-            return Err("beta must be positive".into());
+        if !(self.beta > 0.0 && self.beta.is_finite()) {
+            return Err("beta must be positive and finite".into());
+        }
+        if !self.tolerance.is_finite() {
+            return Err("tolerance must be finite".into());
         }
         if self.patience == 0 {
             return Err("patience must be positive".into());
@@ -248,11 +251,6 @@ impl IltEngine {
     /// The configuration.
     pub fn config(&self) -> &IltConfig {
         &self.config
-    }
-
-    /// Consumes the engine, returning the model (for reuse elsewhere).
-    pub fn into_model(self) -> LithoModel {
-        self.model
     }
 
     /// Optimizes a mask for `target`, initializing from the target itself —
@@ -381,7 +379,7 @@ impl IltEngine {
             }
             if err < best_err {
                 best_err = err;
-                best_p = p.clone();
+                best_p.as_mut_slice().copy_from_slice(p.as_slice());
                 since_best = 0;
             } else {
                 since_best += 1;
@@ -567,6 +565,21 @@ mod tests {
         let mut bad2 = IltConfig::fast();
         bad2.momentum = 1.0;
         assert!(bad2.validate().is_err());
+    }
+
+    #[test]
+    fn non_finite_floats_are_rejected() {
+        let fast = IltConfig::fast;
+        for bad in [
+            IltConfig { step_size: f32::NAN, ..fast() },
+            IltConfig { step_size: f32::INFINITY, ..fast() },
+            IltConfig { beta: f32::NAN, ..fast() },
+            IltConfig { beta: f32::INFINITY, ..fast() },
+            IltConfig { tolerance: f64::NAN, ..fast() },
+            IltConfig { tolerance: f64::NEG_INFINITY, ..fast() },
+        ] {
+            assert!(bad.validate().is_err(), "{bad:?} validated");
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Element-wise activations.
 //!
 //! Every activation here caches its **output** in a persistent buffer and
-//! derives the backward pass from it: sigmoid/tanh have closed-form
-//! derivatives in the output, and the (leaky) ReLU derivative only needs
+//! derives the backward pass from it: the sigmoid has a closed-form
+//! derivative in the output, and the (leaky) ReLU derivative only needs
 //! the sign of the input, which the output preserves. Caching the output
 //! is what makes the in-place fast path possible — the input no longer
 //! exists once the buffer has been transformed.
@@ -108,13 +108,6 @@ activation_layer!(
     Sigmoid,
     fwd: |x| 1.0 / (1.0 + (-x).exp()),
     bwd_from_out: |y| y * (1.0 - y)
-);
-
-activation_layer!(
-    /// Hyperbolic tangent.
-    Tanh,
-    fwd: |x| x.tanh(),
-    bwd_from_out: |y| 1.0 - y * y
 );
 
 /// Leaky ReLU with configurable negative slope (GAN discriminators
@@ -228,13 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn tanh_is_odd() {
-        let mut t = Tanh::new();
-        let y = t.forward(&Tensor::from_vec(&[2], vec![-1.3, 1.3]), true);
-        assert!((y.as_slice()[0] + y.as_slice()[1]).abs() < 1e-6);
-    }
-
-    #[test]
     fn leaky_scales_negative_side() {
         let mut l = LeakyRelu::new(0.1);
         let y = l.forward(&Tensor::from_vec(&[2], vec![-2.0, 2.0]), true);
@@ -247,7 +233,6 @@ mod tests {
         let x = init::uniform(&[2, 3, 4, 4], -1.0, 1.0, 20);
         gradcheck::check_input_gradient(&mut Relu::new(), &x, 0.05);
         gradcheck::check_input_gradient(&mut Sigmoid::new(), &x, 0.02);
-        gradcheck::check_input_gradient(&mut Tanh::new(), &x, 0.02);
         gradcheck::check_input_gradient(&mut LeakyRelu::new(0.2), &x, 0.05);
     }
 

@@ -11,18 +11,14 @@ mod activations;
 mod batchnorm;
 mod conv;
 mod convcore;
-mod dropout;
 mod flatten;
 mod linear;
-mod pooling;
 
-pub use activations::{LeakyRelu, Relu, Sigmoid, Tanh};
+pub use activations::{LeakyRelu, Relu, Sigmoid};
 pub use batchnorm::BatchNorm2d;
 pub use conv::{Conv2d, ConvTranspose2d};
-pub use dropout::Dropout;
 pub use flatten::Flatten;
 pub use linear::Linear;
-pub use pooling::AvgPool2d;
 
 pub(crate) use convcore::{col2im_into, conv_out_size, deconv_out_size, im2col_into};
 

@@ -3,66 +3,26 @@
 //! The GAN-OPC objectives (paper Eq. (7)–(10) and Algorithm 1 lines 7–8)
 //! combine binary cross-entropy on discriminator probabilities with an L2
 //! (squared error) term pulling generated masks toward the reference masks.
-//! Both pieces live here as `(value, gradient)` pairs.
+//! Both pieces live here with their input gradients.
 
 use crate::{guard, Tensor};
 
-/// Mean squared error `Σ (a − b)² / N` and its gradient with respect to `a`.
-///
-/// # Panics
-///
-/// Panics on shape mismatch.
-///
-/// ```
-/// use ganopc_nn::{loss::mse, Tensor};
-/// let a = Tensor::from_vec(&[2], vec![1.0, 2.0]);
-/// let b = Tensor::from_vec(&[2], vec![0.0, 2.0]);
-/// let (value, grad) = mse(&a, &b);
-/// assert!((value - 0.5).abs() < 1e-6);
-/// assert_eq!(grad.as_slice(), &[1.0, 0.0]);
-/// ```
-pub fn mse(a: &Tensor, b: &Tensor) -> (f64, Tensor) {
-    assert_eq!(a.shape(), b.shape(), "mse shape mismatch");
-    let n = a.len() as f64;
-    let mut value = 0.0f64;
-    let grad: Vec<f32> = a
-        .as_slice()
-        .iter()
-        .zip(b.as_slice())
-        .map(|(&x, &y)| {
-            let d = x - y;
-            value += (d as f64) * (d as f64);
-            2.0 * d / n as f32
-        })
-        .collect();
-    guard::check_finite_scalar("mse loss", value / n);
-    (value / n, Tensor::from_vec(a.shape(), grad))
-}
-
-/// *Summed* squared error `Σ (a − b)²` and its gradient — the paper's
-/// `‖M* − M‖₂²` term (Algorithm 1 line 7) without averaging, so the α weight
-/// in the combined loss means the same thing it does in the paper.
-pub fn sum_squared_error(a: &Tensor, b: &Tensor) -> (f64, Tensor) {
-    assert_eq!(a.shape(), b.shape(), "sse shape mismatch");
-    let mut value = 0.0f64;
-    let grad: Vec<f32> = a
-        .as_slice()
-        .iter()
-        .zip(b.as_slice())
-        .map(|(&x, &y)| {
-            let d = x - y;
-            value += (d as f64) * (d as f64);
-            2.0 * d
-        })
-        .collect();
-    guard::check_finite_scalar("sse loss", value);
-    (value, Tensor::from_vec(a.shape(), grad))
-}
-
-/// Fused-scale variant of [`sum_squared_error`]: returns `Σ (a − b)²` and
+/// *Summed* squared error — the paper's `‖M* − M‖₂²` term (Algorithm 1
+/// line 7) without averaging, so the α weight in the combined loss means
+/// the same thing it does in the paper. Returns `Σ (a − b)²` and
 /// **accumulates** `scale · 2(a − b)` into `grad` (which must already have
 /// the same shape). Folding the batch/weight scale into the gradient pass
 /// avoids materializing the intermediate gradient tensor in the trainer.
+///
+/// ```
+/// use ganopc_nn::{loss::sum_squared_error_acc_into, Tensor};
+/// let a = Tensor::from_vec(&[2], vec![1.0, 2.0]);
+/// let b = Tensor::from_vec(&[2], vec![0.0, 2.0]);
+/// let mut grad = Tensor::zeros(&[2]);
+/// let value = sum_squared_error_acc_into(&a, &b, 0.5, &mut grad);
+/// assert_eq!(value, 1.0);
+/// assert_eq!(grad.as_slice(), &[1.0, 0.0]);
+/// ```
 ///
 /// # Panics
 ///
@@ -153,35 +113,26 @@ mod tests {
         }
     }
 
+    /// `sum_squared_error_acc_into` at `scale = 1` into a fresh gradient.
+    fn sse(a: &Tensor, b: &Tensor) -> (f64, Tensor) {
+        let mut grad = Tensor::zeros(a.shape());
+        let value = sum_squared_error_acc_into(a, b, 1.0, &mut grad);
+        (value, grad)
+    }
+
     #[test]
-    fn mse_zero_at_match() {
+    fn sse_zero_at_match() {
         let a = Tensor::from_vec(&[3], vec![1.0, -1.0, 0.5]);
-        let (v, g) = mse(&a, &a);
+        let (v, g) = sse(&a, &a);
         assert_eq!(v, 0.0);
         assert!(g.as_slice().iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn mse_gradient_fd() {
-        let b = Tensor::from_vec(&[4], vec![0.1, 0.9, 0.4, -0.3]);
-        let x = Tensor::from_vec(&[4], vec![0.7, -0.2, 0.0, 0.5]);
-        fd_check(&|t| mse(t, &b), &x, 0.01);
-    }
-
-    #[test]
-    fn sse_is_n_times_mse() {
-        let a = Tensor::from_vec(&[4], vec![1.0, 2.0, 3.0, 4.0]);
-        let b = Tensor::zeros(&[4]);
-        let (m, _) = mse(&a, &b);
-        let (s, _) = sum_squared_error(&a, &b);
-        assert!((s - 4.0 * m).abs() < 1e-9);
     }
 
     #[test]
     fn sse_gradient_fd() {
         let b = Tensor::from_vec(&[3], vec![0.3, -0.2, 0.8]);
         let x = Tensor::from_vec(&[3], vec![0.5, 0.5, 0.5]);
-        fd_check(&|t| sum_squared_error(t, &b), &x, 0.01);
+        fd_check(&|t| sse(t, &b), &x, 0.01);
     }
 
     #[test]
@@ -243,17 +194,19 @@ mod tests {
     fn nan_input_trips_loss_value_guard() {
         let a = Tensor::from_vec(&[2], vec![f32::NAN, 0.0]);
         let b = Tensor::zeros(&[2]);
-        let _ = sum_squared_error(&a, &b);
+        let _ = sse(&a, &b);
     }
 
     #[test]
     fn fused_sse_accumulates_scaled_gradient() {
         let a = Tensor::from_vec(&[3], vec![0.5, -0.2, 0.8]);
         let b = Tensor::from_vec(&[3], vec![0.3, 0.1, 0.8]);
-        let (v, g) = sum_squared_error(&a, &b);
+        let (v, g) = sse(&a, &b);
         let mut acc = Tensor::filled(&[3], 10.0);
         let fv = sum_squared_error_acc_into(&a, &b, 0.5, &mut acc);
         assert_eq!(fv, v);
+        let d = [0.5f64 - 0.3, -0.2 - 0.1, 0.0];
+        assert!((v - d.iter().map(|x| x * x).sum::<f64>()).abs() < 1e-6);
         for (got, want) in acc.as_slice().iter().zip(g.as_slice()) {
             assert!((got - (10.0 + 0.5 * want)).abs() < 1e-6);
         }
